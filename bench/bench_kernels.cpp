@@ -30,7 +30,6 @@
 #include "stats/histogram.hpp"
 #include "store/codec.hpp"
 #include "store/series_store.hpp"
-#include "store/snapshot_store.hpp"
 
 namespace {
 
@@ -730,11 +729,15 @@ void record_obs_overhead_row(sickle::bench::JsonReport* report) {
   const auto& fx = CubeScoringFixture::instance();
   const auto dir = fs::temp_directory_path() / "sickle_obs_overhead";
   fs::create_directories(dir);
-  const std::string path = (dir / "obs.skl2").string();
+  const std::string path = (dir / "obs.skl3").string();
   store::StoreOptions opts;
   opts.chunk = {16, 16, 16};
   opts.codec = "delta";
-  (void)store::write_store(fx.snap, path, opts);
+  {
+    store::SeriesWriter writer(path, opts);
+    writer.append(fx.snap);
+    (void)writer.close();
+  }
 
   sampling::PipelineConfig cfg;
   cfg.cube = {8, 8, 8};
@@ -749,9 +752,10 @@ void record_obs_overhead_row(sickle::bench::JsonReport* report) {
   auto run_once = [&] {
     // A fresh reader with a deliberately small cache keeps chunk loads
     // (and therefore trace events) in the timed region every repeat.
-    const store::ChunkReader reader(path, /*cache_bytes=*/1u << 20);
+    const store::SeriesReader reader(path, /*cache_bytes=*/1u << 20);
     Timer timer;
-    const auto result = sampling::run_pipeline_streaming(reader, cfg);
+    const auto result =
+        sampling::run_pipeline_streaming(reader.source(0), cfg);
     benchmark::DoNotOptimize(result.cubes.data());
     return timer.seconds();
   };

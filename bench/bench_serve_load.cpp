@@ -59,7 +59,6 @@ std::string case_yaml(std::uint64_t seed, const std::string& spill_dir) {
   y += "  nxsl: 8\n  nysl: 8\n  nzsl: 8\n";
   y += "store:\n";
   y += "  backend: series\n";
-  y += "  ingest: streaming\n";
   y += "  codec: delta\n";
   y += "  chunk: 16\n";
   y += "  write_budget_mb: 1\n";

@@ -2,15 +2,16 @@
 // a convenient way to significantly reduce file storage requirements, by
 // storing feature-rich subsampled datasets").
 //
-// Three experiments on one dense SST snapshot:
-//   1. SKL2 chunked-store codecs vs the flat SKL1 file: real compressed
-//      bytes plus encode/decode throughput and max reconstruction error.
+// Experiments on one dense SST snapshot and its series:
+//   1. SKL3 chunked-store codecs (one-snapshot containers) vs the flat
+//      SKL1 file: real compressed bytes plus encode/decode throughput and
+//      max reconstruction error; 1b gates gorilla on native-f32 data.
 //   2. Streaming equivalence: MaxEnt two-phase sampling driven through a
-//      ChunkReader (out-of-core) must reproduce the in-memory sample set
-//      exactly on a lossless codec.
-//   3. SKL3 series mode: one multi-snapshot container vs N single-
-//      snapshot SKL2 files — header/index amortization and streaming
-//      append throughput.
+//      SeriesReader snapshot view (out-of-core) must reproduce the
+//      in-memory sample set exactly on a lossless codec.
+//   3. SKL3 series mode: one multi-snapshot container — header/index
+//      bytes, streaming append throughput, and streamed multi-snapshot
+//      sampling equivalence.
 //   4. The original sampled-subset table: on-disk byte ratios of
 //      MaxEnt subsets at several sampling rates.
 #include <algorithm>
@@ -25,7 +26,6 @@
 #include "sampling/pipeline.hpp"
 #include "sickle/dataset_zoo.hpp"
 #include "store/series_store.hpp"
-#include "store/snapshot_store.hpp"
 
 using namespace sickle;
 
@@ -41,6 +41,15 @@ double max_abs_error(const field::Snapshot& a, const field::Snapshot& b) {
     }
   }
   return err;
+}
+
+/// Store one snapshot as a one-snapshot SKL3 container.
+store::SeriesWriteReport write_one(const field::Snapshot& snap,
+                                   const std::string& path,
+                                   const store::StoreOptions& opts) {
+  store::SeriesWriter writer(path, opts);
+  writer.append(snap);
+  return writer.close();
 }
 
 }  // namespace
@@ -63,9 +72,9 @@ int main() {
               snap.shape().size(), snap.num_fields(),
               static_cast<double>(dense_bytes) / (1024.0 * 1024.0));
 
-  // --- 1. SKL2 codec sweep: compressed bytes + throughput ------------------
+  // --- 1. SKL3 codec sweep: compressed bytes + throughput ------------------
   const double quant_tol = 1e-3;
-  std::printf("SKL2 chunked store (16^3 chunks; quant tolerance %.0e):\n",
+  std::printf("SKL3 chunked store (16^3 chunks; quant tolerance %.0e):\n",
               quant_tol);
   bench::row_header(
       {"codec", "bytes", "ratio", "enc MB/s", "dec MB/s", "max err"});
@@ -74,13 +83,13 @@ int main() {
     opts.chunk = {16, 16, 16};
     opts.codec = codec;
     opts.tolerance = quant_tol;
-    const std::string path = (dir / (codec + ".skl2")).string();
-    const auto report = store::write_store(snap, path, opts);
+    const std::string path = (dir / (codec + ".skl3")).string();
+    const auto report = write_one(snap, path, opts);
 
     double decode_seconds = 0.0;
     const auto round_trip = [&] {
       ScopedTimer decode_timer(decode_seconds);
-      return store::ChunkReader(path).load_snapshot();
+      return store::SeriesReader(path).load_snapshot(0);
     }();
 
     std::printf("%-22s%-22zu%-22.2f%-22.0f%-22.0f%-22.2e\n", codec.c_str(),
@@ -113,12 +122,12 @@ int main() {
       store::StoreOptions opts;
       opts.chunk = {16, 16, 16};
       opts.codec = codec;
-      const std::string path = (dir / ("turb_" + codec + ".skl2")).string();
-      const auto report = store::write_store(tsnap, path, opts);
+      const std::string path = (dir / ("turb_" + codec + ".skl3")).string();
+      const auto report = write_one(tsnap, path, opts);
       double decode_seconds = 0.0;
       const auto round_trip = [&] {
         ScopedTimer decode_timer(decode_seconds);
-        return store::ChunkReader(path).load_snapshot();
+        return store::SeriesReader(path).load_snapshot(0);
       }();
       const bool exact = max_abs_error(tsnap, round_trip) == 0.0;
       gorilla_gate = gorilla_gate && exact;
@@ -148,22 +157,21 @@ int main() {
   cfg.output_vars = bundle.output_vars;
   cfg.cluster_var = bundle.cluster_var;
   const auto in_memory = run_pipeline(snap, cfg).merged();
-  const store::ChunkReader reader((dir / "delta.skl2").string(),
-                                  /*cache_bytes=*/4u << 20);
+  const store::SeriesReader reader((dir / "delta.skl3").string(),
+                                   /*cache_bytes=*/4u << 20);
   const auto streamed =
-      sampling::run_pipeline_streaming(reader, cfg).merged();
+      sampling::run_pipeline_streaming(reader.source(0), cfg).merged();
   bool match = in_memory.indices == streamed.indices &&
                in_memory.features == streamed.features;
   const auto cache = reader.cache_stats();
-  std::printf("\nstreaming sampling over ChunkReader (4 MB cache, "
+  std::printf("\nstreaming sampling over SeriesReader (4 MB cache, "
               "%zu hits / %zu misses / %zu evictions): %s\n",
               cache.hits, cache.misses, cache.evictions,
               match ? "matches in-memory sample set exactly"
                     : "MISMATCH vs in-memory sample set");
 
-  // --- 3. SKL3 series vs N SKL2 files: amortization + append throughput ----
-  std::printf("\nSKL3 series container vs per-snapshot SKL2 files "
-              "(%zu snapshots, delta codec):\n",
+  // --- 3. SKL3 series: meta bytes + append throughput ---------------------
+  std::printf("\nSKL3 series container (%zu snapshots, delta codec):\n",
               bundle.data.num_snapshots());
   bench::row_header({"container", "bytes", "meta bytes", "append MB/s",
                      "peak buf KB"});
@@ -171,24 +179,9 @@ int main() {
   series_opts.chunk = {16, 16, 16};
   series_opts.codec = "delta";
   {
-    // Per-snapshot SKL2 baseline: every file pays its own header + index.
-    std::size_t skl2_bytes = 0, skl2_meta = 0;
-    Timer skl2_timer;
-    for (std::size_t t = 0; t < bundle.data.num_snapshots(); ++t) {
-      const auto rep = store::write_store(
-          bundle.data.snapshot(t),
-          (dir / ("series_" + std::to_string(t) + ".skl2")).string(),
-          series_opts);
-      skl2_bytes += rep.file_bytes;
-      skl2_meta += rep.file_bytes - rep.payload_bytes;
-    }
-    const double skl2_seconds = skl2_timer.seconds();
+    // One streaming SKL3: one header, one index, bounded writer memory.
     const double series_raw_mb =
         static_cast<double>(bundle.data.bytes()) / (1024.0 * 1024.0);
-    std::printf("%-22s%-22zu%-22zu%-22.0f%-22s\n", "N x SKL2", skl2_bytes,
-                skl2_meta, series_raw_mb / skl2_seconds, "-");
-
-    // One streaming SKL3: one header, one index, bounded writer memory.
     Timer skl3_timer;
     store::SeriesWriter writer((dir / "series.skl3").string(), series_opts);
     for (std::size_t t = 0; t < bundle.data.num_snapshots(); ++t) {
@@ -200,11 +193,6 @@ int main() {
                 rep.file_bytes, rep.meta_bytes,
                 series_raw_mb / skl3_seconds,
                 rep.peak_buffered_bytes >> 10);
-    std::printf("meta amortization: %zu -> %zu header/index bytes "
-                "(%zu saved; the per-chunk index is irreducible, the "
-                "per-file header is paid once), 1 file instead of %zu\n",
-                skl2_meta, rep.meta_bytes, skl2_meta - rep.meta_bytes,
-                bundle.data.num_snapshots());
 
     // Self-check: streamed multi-snapshot sampling over the series
     // container matches the in-memory dataset pipeline exactly.

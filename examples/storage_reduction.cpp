@@ -1,5 +1,5 @@
 // Storage reduction: write a dense DNS snapshot three ways — flat SKL1,
-// chunked compressed SKL2, and a MaxEnt-sampled sparse subset — and
+// chunked compressed SKL3, and a MaxEnt-sampled sparse subset — and
 // compare their on-disk footprints. Also demonstrates out-of-core
 // sampling straight from the compressed store.
 #include <cstdio>
@@ -8,7 +8,20 @@
 #include "io/snapshot_io.hpp"
 #include "sampling/pipeline.hpp"
 #include "sickle/dataset_zoo.hpp"
-#include "store/snapshot_store.hpp"
+#include "store/series_store.hpp"
+
+namespace {
+
+/// Store one snapshot as a one-snapshot SKL3 container.
+sickle::store::SeriesWriteReport write_one(
+    const sickle::field::Snapshot& snap, const std::string& path,
+    const sickle::store::StoreOptions& opts) {
+  sickle::store::SeriesWriter writer(path, opts);
+  writer.append(snap);
+  return writer.close();
+}
+
+}  // namespace
 
 int main() {
   using namespace sickle;
@@ -26,15 +39,15 @@ int main() {
   store::StoreOptions sopts;
   sopts.chunk = {16, 16, 16};
   sopts.codec = "delta";
-  const auto delta_report = store::write_store(
-      snap, (dir / "gests_delta.skl2").string(), sopts);
+  const auto delta_report =
+      write_one(snap, (dir / "gests_delta.skl3").string(), sopts);
   sopts.codec = "quant";
   sopts.tolerance = 1e-3;
-  const auto quant_report = store::write_store(
-      snap, (dir / "gests_quant.skl2").string(), sopts);
-  std::printf("SKL2 delta:      %10zu bytes (lossless, %.2fx vs raw)\n",
+  const auto quant_report =
+      write_one(snap, (dir / "gests_quant.skl3").string(), sopts);
+  std::printf("SKL3 delta:      %10zu bytes (lossless, %.2fx vs raw)\n",
               delta_report.file_bytes, delta_report.compression_ratio());
-  std::printf("SKL2 quant 1e-3: %10zu bytes (lossy, %.2fx vs raw)\n",
+  std::printf("SKL3 quant 1e-3: %10zu bytes (lossy, %.2fx vs raw)\n",
               quant_report.file_bytes, quant_report.compression_ratio());
 
   sampling::PipelineConfig cfg;
@@ -52,8 +65,9 @@ int main() {
 
   // The same sampling also runs out-of-core, streaming chunks from the
   // compressed store instead of touching the in-memory snapshot.
-  const store::ChunkReader reader((dir / "gests_delta.skl2").string());
-  const auto streamed = sampling::run_pipeline_streaming(reader, cfg).merged();
+  const store::SeriesReader reader((dir / "gests_delta.skl3").string());
+  const auto streamed =
+      sampling::run_pipeline_streaming(reader.source(0), cfg).merged();
   std::printf("out-of-core:     sampled %zu points from the delta store "
               "(%s in-memory result)\n",
               streamed.points(),
@@ -73,8 +87,8 @@ int main() {
               static_cast<double>(dense) / static_cast<double>(sparse));
 
   std::filesystem::remove(dir / "gests_dense.skl");
-  std::filesystem::remove(dir / "gests_delta.skl2");
-  std::filesystem::remove(dir / "gests_quant.skl2");
+  std::filesystem::remove(dir / "gests_delta.skl3");
+  std::filesystem::remove(dir / "gests_quant.skl3");
   std::filesystem::remove(dir / "gests_sparse.skl");
   return 0;
 }

@@ -7,7 +7,7 @@
 /// whole field span. FieldSource captures exactly that contract, so the
 /// same selector/sampler code runs over an in-memory Snapshot
 /// (SnapshotSource, zero-copy) or a chunked on-disk store
-/// (store::ChunkReader, LRU-cached) without materializing the full grid.
+/// (store::SeriesReader, LRU-cached) without materializing the full grid.
 #pragma once
 
 #include <algorithm>
@@ -116,11 +116,10 @@ inline constexpr std::size_t kCoarseHistogramBins = 64;
 
 /// Read-only access to a time-ordered sequence of snapshots on a shared
 /// grid — the temporal twin of FieldSource. Implementations: an in-memory
-/// Dataset (DatasetSeriesSource, zero-copy), an SKL3 series container
-/// (store::SeriesReader, LRU-cached out-of-core), or the case runner's
-/// per-snapshot SKL2 spill adapter. Temporal snapshot selection
-/// (sampling::select_snapshots) and the staged case orchestrator run over
-/// this interface, so the same code path serves in-RAM and
+/// Dataset (DatasetSeriesSource, zero-copy) and an SKL3 series container
+/// (store::SeriesReader, LRU-cached out-of-core). Temporal snapshot
+/// selection (sampling::select_snapshots) and the staged case orchestrator
+/// run over this interface, so the same code path serves in-RAM and
 /// larger-than-RAM series.
 class SeriesSource {
  public:
@@ -130,8 +129,8 @@ class SeriesSource {
 
   /// Borrow a per-snapshot view. The reference stays valid until the next
   /// source() call on the same SeriesSource (sequential drivers) or until
-  /// destruction — in-memory and SKL3 implementations keep every view
-  /// alive, but the SKL2 spill adapter recycles a single reader.
+  /// destruction — the in-memory and SKL3 implementations keep every view
+  /// alive, but an implementation may recycle a single view.
   [[nodiscard]] virtual const FieldSource& source(std::size_t t) const = 0;
 
   [[nodiscard]] virtual double time(std::size_t t) const {

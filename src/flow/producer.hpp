@@ -67,16 +67,24 @@ class SnapshotProducer {
   [[nodiscard]] virtual std::vector<double> scalar_target() const {
     return {};
   }
+
+  /// The whole series still to be produced, when it already sits in RAM
+  /// (a DatasetProducer that has not advanced), so a consumer that needs
+  /// every snapshot at once can borrow it instead of copying; nullptr for
+  /// generators.
+  [[nodiscard]] virtual const field::Dataset* resident() const {
+    return nullptr;
+  }
 };
 
 /// Drain `producer` into an in-memory Dataset named `name` — the
-/// materialized-ingest path and the compatibility bridge for the batch
-/// generate_* functions.
+/// compatibility bridge for the batch generate_* functions.
 [[nodiscard]] field::Dataset materialize(SnapshotProducer& producer,
                                          std::string name);
 
 /// Replay an existing in-memory Dataset one snapshot at a time (copies) —
-/// glue for tests and for streaming-ingest code paths fed from RAM.
+/// how run_case feeds a DatasetBundle to the series backend, and glue for
+/// tests.
 class DatasetProducer final : public SnapshotProducer {
  public:
   /// The dataset must outlive the producer.
@@ -93,6 +101,10 @@ class DatasetProducer final : public SnapshotProducer {
   }
 
   void reset() override { next_ = 0; }
+
+  [[nodiscard]] const field::Dataset* resident() const override {
+    return next_ == 0 ? data_ : nullptr;
+  }
 
  private:
   const field::Dataset* data_;

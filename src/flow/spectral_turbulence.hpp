@@ -20,8 +20,9 @@
 // Pressure solves the exact spectral Poisson equation
 //   lap p = -du_i/dx_j du_j/dx_i.
 //
-// Grid sizes are scaled down from the paper (DESIGN.md §2) but keep the
-// anisotropic-vs-isotropic contrast that drives the paper's findings.
+// Grid sizes are scaled down from the paper (docs/ARCHITECTURE.md, "Scale
+// and ranks") but keep the anisotropic-vs-isotropic contrast that drives
+// the paper's findings.
 #pragma once
 
 #include <cstddef>

@@ -4,8 +4,8 @@
 /// One of SICKLE's practical benefits is storage reduction: a feature-rich
 /// subsampled dataset occupies a small fraction of the raw DNS checkpoint.
 /// This module provides the flat load-everything on-disk format for full
-/// snapshots and sampled subsets; the chunked compressed SKL2 container
-/// for out-of-core access lives in store/snapshot_store.hpp.
+/// snapshots and sampled subsets; the chunked compressed SKL3 container
+/// for out-of-core access lives in store/series_store.hpp.
 ///
 /// Layout (little-endian, host order — single-platform scientific format):
 ///   magic "SKL1" | u64 nx ny nz | f64 time | u64 nfields

@@ -13,7 +13,8 @@
 // The scalability experiment (Fig. 7) reports
 //   T(n) = max_r cpu_r + comm_model(n)
 // which reproduces the paper's speedup/efficiency *shape* on a single node.
-// This substitution is documented in DESIGN.md §2.
+// This substitution is documented in docs/ARCHITECTURE.md ("Scale and
+// ranks").
 #pragma once
 
 #include <cstddef>
@@ -30,7 +31,8 @@ namespace sickle {
 ///
 /// Defaults approximate a Slingshot-class interconnect: ~2 us latency and
 /// ~25 GB/s effective per-link bandwidth. These constants only shape the
-/// modeled communication term; DESIGN.md calls them out as ablation knobs.
+/// modeled communication term; docs/ARCHITECTURE.md calls them out as
+/// ablation knobs.
 struct CommModel {
   double latency_s = 2e-6;        ///< per-message software+wire latency
   double seconds_per_byte = 4e-11;  ///< 1 / 25 GB/s

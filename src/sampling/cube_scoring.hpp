@@ -16,7 +16,7 @@
 /// a ThreadPool with cube-id-ordered reduction into preallocated slots, so
 /// serial and parallel runs are bit-exact for any thread count. Sources
 /// must tolerate concurrent gather() when a pool is supplied (Snapshot
-/// sources are read-only; store::ChunkReader shards its cache).
+/// sources are read-only; store::SeriesReader shards its cache).
 #pragma once
 
 #include <cstdint>

@@ -39,7 +39,7 @@ struct HypercubeSelectorConfig {
   /// clustering fit (all RNG consumption) happens before the fan-out and
   /// every cube/row reduces into its own slot. A pooled run gathers from
   /// the source concurrently, so the source must be thread-safe (Snapshot
-  /// sources are read-only; store::ChunkReader shards its cache).
+  /// sources are read-only; store::SeriesReader shards its cache).
   ThreadPool* pool = nullptr;
 };
 

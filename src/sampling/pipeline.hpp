@@ -44,7 +44,7 @@ struct PipelineConfig {
   /// clustering fit and cube draw consume RNG before the fan-out, each
   /// cube forks its own RNG, and all reductions run in cube-id order.
   /// With threads != 1 the snapshot source is gathered concurrently, so a
-  /// store-backed run shares one thread-safe sharded ChunkReader.
+  /// store-backed run shares one thread-safe sharded SeriesReader.
   std::size_t threads = 1;
 };
 
@@ -70,9 +70,9 @@ struct PipelineResult {
 [[nodiscard]] PipelineResult run_pipeline(const field::Snapshot& snap,
                                           const PipelineConfig& cfg);
 
-/// Out-of-core pipeline over any FieldSource — in particular a
-/// store::ChunkReader, whose LRU block cache bounds memory so snapshots
-/// larger than RAM can be sampled chunk-by-chunk. Produces exactly the
+/// Out-of-core pipeline over any FieldSource — in particular a snapshot
+/// view of a store::SeriesReader, whose LRU block cache bounds memory so
+/// snapshots larger than RAM can be sampled chunk-by-chunk. Produces exactly the
 /// sample set run_pipeline would on the equivalent in-memory snapshot
 /// (bit-exact for lossless store codecs; within tolerance for quantized
 /// ones). `snapshot_index` reproduces the t-th snapshot's contribution of

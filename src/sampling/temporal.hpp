@@ -67,7 +67,7 @@ struct TemporalConfig {
 /// the candidates only, then the exact greedy restricted to them picks
 /// the final k. Every stage is deterministic and uses the same canonical
 /// coarse kernel whether summaries come from the index or a scan, so all
-/// backends (in-memory, SKL3 v1-v4, SKL2 spill) return identical indices
+/// backends (in-memory, SKL3 v1-v4) return identical indices
 /// for equal data under lossless codecs. When the candidate set covers
 /// the series the result is bit-identical to the legacy single-stage
 /// exact greedy.

@@ -9,6 +9,11 @@ namespace sickle::serve {
 
 namespace {
 
+/// Deepest array/object nesting parse() accepts. The parser recurses once
+/// per level, so the bound keeps hostile input ("[[[[...") a typed error
+/// instead of a stack overflow; protocol requests nest two levels.
+constexpr std::size_t kMaxDepth = 64;
+
 [[noreturn]] void fail(std::size_t pos, const std::string& what) {
   throw RuntimeError("json parse error at offset " + std::to_string(pos) +
                      ": " + what);
@@ -123,9 +128,13 @@ struct Parser {
     return Json(v);
   }
 
-  Json parse_value() {
+  /// `depth` counts the arrays/objects enclosing this value.
+  Json parse_value(std::size_t depth = 0) {
     skip_ws();
     const char c = peek();
+    if ((c == '{' || c == '[') && depth == kMaxDepth) {
+      fail(pos, "nesting deeper than " + std::to_string(kMaxDepth));
+    }
     if (c == '{') {
       ++pos;
       Json obj = Json::object();
@@ -139,7 +148,7 @@ struct Parser {
         Json key = parse_string();
         skip_ws();
         expect(':');
-        obj.set(key.as_string(), parse_value());
+        obj.set(key.as_string(), parse_value(depth + 1));
         skip_ws();
         if (peek() == ',') {
           ++pos;
@@ -158,7 +167,7 @@ struct Parser {
         return arr;
       }
       for (;;) {
-        arr.push(parse_value());
+        arr.push(parse_value(depth + 1));
         skip_ws();
         if (peek() == ',') {
           ++pos;

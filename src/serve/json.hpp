@@ -40,7 +40,8 @@ class Json {
   }
 
   /// Parse one complete JSON document; trailing non-space is an error.
-  /// Throws RuntimeError with a position on malformed input.
+  /// Throws RuntimeError with a position on malformed input, including
+  /// arrays/objects nested more than 64 deep.
   [[nodiscard]] static Json parse(const std::string& text);
 
   [[nodiscard]] Type type() const noexcept { return type_; }

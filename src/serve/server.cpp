@@ -256,10 +256,18 @@ struct Server::Impl {
   /// One request line -> one response line. Returns false when the
   /// connection should close (shutdown verb).
   bool handle_line(int fd, const std::string& line) {
+    Json req;
+    try {
+      req = Json::parse(line);
+    } catch (const std::exception& e) {
+      // Not JSON (or nested past the parser's bound): answer and keep the
+      // connection; the next line is parsed afresh.
+      send_all(fd, error_response("bad_request", e.what()).dump());
+      return true;
+    }
     Json resp;
     bool keep_open = true;
     try {
-      const Json req = Json::parse(line);
       const Json* verb = req.get("verb");
       if (!req.is_object() || verb == nullptr ||
           verb->type() != Json::Type::kString) {
@@ -419,13 +427,15 @@ void Server::stop() {
   s.lifecycle_cv.notify_all();
   s.stopping.store(true, std::memory_order_relaxed);
 
-  // 1. Stop accepting: shutdown() unblocks accept(), then join.
+  // 1. Stop accepting: shutdown() unblocks accept(); only once the accept
+  //    thread has exited is the listening fd closed and reset, so it is
+  //    never read while written, nor its number reused under accept().
+  if (s.listen_fd >= 0) ::shutdown(s.listen_fd, SHUT_RDWR);
+  if (s.accept_thread.joinable()) s.accept_thread.join();
   if (s.listen_fd >= 0) {
-    ::shutdown(s.listen_fd, SHUT_RDWR);
     ::close(s.listen_fd);
     s.listen_fd = -1;
   }
-  if (s.accept_thread.joinable()) s.accept_thread.join();
 
   // 2. Cancel every case so connection threads blocked in result-wait()
   //    unblock with CancelledError instead of deadlocking the joins below.

@@ -18,13 +18,9 @@ std::vector<ValidationIssue> CaseConfig::validate() const {
     issues.push_back({std::move(field), std::move(message), std::move(hint)});
   };
 
-  if (backend != "memory" && backend != "skl2" && backend != "series") {
+  if (backend != "memory" && backend != "series") {
     add("store.backend", "unknown store backend: " + backend,
-        "memory | skl2 | series");
-  }
-  if (ingest != "materialize" && ingest != "streaming") {
-    add("store.ingest", "unknown store ingest mode: " + ingest,
-        "materialize | streaming");
+        "memory | series");
   }
   if (arch != "LSTM" && arch != "MLP_Transformer" &&
       arch != "CNN_Transformer" && arch != "Foundation") {
@@ -61,12 +57,19 @@ std::vector<ValidationIssue> CaseConfig::validate() const {
 }
 
 // The orchestrator itself lives in stage.cpp (stage::run_staged), shared
-// bit-for-bit with CaseSession; run_case is the legacy blocking adapter —
-// a null observer means no hooks fire and no cancellation is polled, so
-// behavior, hashes, and exception types match the pre-session API.
+// bit-for-bit with CaseSession; run_case is the blocking adapter — a null
+// observer means no hooks fire and no cancellation is polled.
 
 CaseReport run_case(const DatasetBundle& bundle, CaseConfig cfg) {
-  return stage::run_staged(bundle, std::move(cfg), nullptr);
+  // Replay producer over the borrowed Dataset: the memory backend borrows
+  // it whole (DatasetProducer::resident), the series backend streams it.
+  ProducerBundle replay;
+  replay.producer = std::make_unique<flow::DatasetProducer>(bundle.data);
+  replay.name = bundle.data.label();
+  replay.input_vars = bundle.input_vars;
+  replay.output_vars = bundle.output_vars;
+  replay.cluster_var = bundle.cluster_var;
+  return stage::run_staged(replay, std::move(cfg), nullptr);
 }
 
 CaseReport run_case(ProducerBundle& bundle, CaseConfig cfg) {

@@ -3,22 +3,19 @@
 /// T1 -> T2 -> T3 workflow driven by one config.
 ///
 /// run_case is a staged streaming orchestrator: (A) ingest the dataset as
-/// a field::SeriesSource — in RAM, spilled to per-snapshot SKL2 stores,
-/// or appended to one streaming SKL3 series container — then (B) optional
-/// temporal snapshot selection over streamed per-snapshot PDFs, (C)
-/// two-phase sampling per selected snapshot with accepted points written
-/// straight into the training-set builder (no second pass over the raw
-/// data), and (D) training. All backends run the same stages, so sample
-/// sets are bit-identical across memory/skl2/series for lossless codecs.
+/// a field::SeriesSource — held in RAM (backend "memory") or streamed
+/// snapshot by snapshot into one SKL3 series container (backend
+/// "series") — then (B) optional temporal snapshot selection over
+/// streamed per-snapshot PDFs, (C) two-phase sampling per selected
+/// snapshot with accepted points written straight into the training-set
+/// builder (no second pass over the raw data), and (D) training. Both
+/// backends run the same stages, so sample sets are bit-identical across
+/// memory/series for lossless codecs.
 ///
-/// Ingest comes in two modes. "materialize" builds the full in-RAM
-/// Dataset first (the only choice for the memory backend). "streaming"
-/// consumes a flow::SnapshotProducer snapshot-at-a-time — simulate ->
-/// encode -> append -> drop — so no full Dataset ever exists for the
-/// skl2/series backends and peak ingest memory is bounded by one snapshot
-/// plus the writer's flush budget (CaseReport::ingest_peak_bytes,
-/// test-asserted). Both modes produce bit-identical stores, sample sets,
-/// and training tensors for lossless codecs.
+/// The series backend consumes a flow::SnapshotProducer one snapshot at a
+/// time — simulate -> encode -> append -> drop — so no full Dataset ever
+/// exists and peak ingest memory is bounded by one snapshot plus the
+/// writer's flush budget (CaseReport::ingest_peak_bytes, test-asserted).
 #pragma once
 
 #include <cstddef>
@@ -32,7 +29,7 @@
 #include "sampling/temporal.hpp"
 #include "sickle/dataset_zoo.hpp"
 #include "sickle/errors.hpp"
-#include "store/snapshot_store.hpp"
+#include "store/series_store.hpp"
 
 namespace sickle {
 
@@ -59,28 +56,20 @@ struct CaseConfig {
   std::size_t model_heads = 4;
   std::size_t model_layers = 1;
   /// Sampling backend: "memory" runs the staged pipeline over the in-RAM
-  /// dataset; "skl2" spills each snapshot to its own chunked compressed
-  /// store; "series" streams every snapshot into one SKL3 container
+  /// dataset; "series" streams every snapshot into one SKL3 container
   /// (amortized header/index, shared block cache) and runs selection +
   /// sampling + training-set build out-of-core. Sample sets are identical
   /// across backends for lossless codecs, at any pipeline.threads value.
   std::string backend = "memory";
-  /// Ingest mode: "materialize" builds the full in-RAM Dataset before
-  /// stage A (today's default, bit-exact legacy behavior); "streaming"
-  /// feeds a SnapshotProducer straight into the spill store one snapshot
-  /// at a time (skl2/series backends; the memory backend always
-  /// materializes). Only meaningful for the ProducerBundle overload of
-  /// run_case — a DatasetBundle is materialized by definition.
-  std::string ingest = "materialize";
-  store::StoreOptions store;  ///< chunking/codec knobs for spill backends
-  /// Where spill backends place their temporary stores; empty = the
+  store::StoreOptions store;  ///< chunking/codec knobs for the series backend
+  /// Where the series backend places its temporary store; empty = the
   /// system temp directory. The spill is removed once the training set is
   /// built; on failure it is kept and its path logged to stderr.
   std::string spill_dir;
   TemporalSelection temporal;  ///< optional snapshot-subset stage
 
-  /// ALL problems with this config at once — enum fields (backend, ingest,
-  /// arch, codec), zero/negative sizes, and fraction ranges — so a config
+  /// ALL problems with this config at once — enum fields (backend, arch,
+  /// codec), zero/negative sizes, and fraction ranges — so a config
   /// with three typos is fixed in one round trip instead of three.
   /// Empty means valid. CaseSession::submit throws ConfigError with this
   /// list; config_driver merges it into its own parse-level issues.
@@ -90,33 +79,28 @@ struct CaseConfig {
 
 struct CaseReport {
   std::size_t sampled_points = 0;
-  /// Wall time of the T1 stages: spill/ingest (skl2/series), temporal
-  /// selection, and the per-snapshot sampling pipeline. Training-set
-  /// tensor construction and scaler fitting are T2 cost and excluded.
+  /// Wall time of the T1 stages: ingest, temporal selection, and the
+  /// per-snapshot sampling pipeline. Training-set tensor construction and
+  /// scaler fitting are T2 cost and excluded.
   double sampling_seconds = 0.0;
   double sampling_kilojoules = 0.0;
-  /// Compressed on-disk bytes of the spilled store(s) (skl2/series only).
+  /// Compressed on-disk bytes of the spilled store (series only).
   std::size_t store_bytes = 0;
   /// Snapshot indices the temporal stage kept, ascending; empty when the
   /// stage is disabled (all snapshots were used).
   std::vector<std::size_t> selected_snapshots;
   /// FNV-1a fingerprint of the sampled cubes (snapshot, cube id, point
   /// indices, feature bit patterns) in pipeline order — equal across
-  /// backends/ingest modes/thread counts exactly when the sample sets are
+  /// backends/codecs/thread counts exactly when the sample sets are
   /// bit-identical, which is what the e2e smoke CI job diffs.
   std::uint64_t sample_hash = 0;
-  /// Streaming ingest only: high-water mark of one produced snapshot plus
+  /// Series backend only: high-water mark of one produced snapshot plus
   /// the store writer's buffered encoded blocks — the "no full Dataset"
   /// guarantee, bounded by one snapshot + write_budget (+ codec slack).
-  /// 0 for materialized ingest (the Dataset itself is the peak).
+  /// 0 for the memory backend (the Dataset itself is the peak).
   std::size_t ingest_peak_bytes = 0;
-  /// High-water mark of live spill bytes on disk. memory backend: 0.
-  /// series backend and non-fused streaming skl2: the whole spilled store
-  /// (= store_bytes). Materialized skl2: one snapshot file (the
-  /// write/sample/delete contract). Fused streaming skl2 (no temporal
-  /// stage): one snapshot file — each spill is sampled and deleted before
-  /// the next is produced, so disk stays O(snapshot) for any series
-  /// length.
+  /// High-water mark of live spill bytes on disk: the whole spilled store
+  /// (= store_bytes) for the series backend, 0 for the memory backend.
   std::size_t ingest_peak_disk_bytes = 0;
   ml::TrainReport train;
   double training_kilojoules = 0.0;
@@ -124,8 +108,8 @@ struct CaseReport {
   /// global obs::enabled() switch — these are per-case values, not
   /// process-cumulative registry counters). Keys: `case.*_seconds` wall
   /// times per stage, `case.sampled_points` / `case.store_bytes` /
-  /// `case.ingest_peak_bytes` mirrors of the scalar fields, and for
-  /// spill backends the reader-side `store.cache_*` / `store.io_*`
+  /// `case.ingest_peak_bytes` mirrors of the scalar fields, and for the
+  /// series backend the reader-side `store.cache_*` / `store.io_*`
   /// tallies. Keys ending in `_seconds` are wall-clock and vary run to
   /// run; everything else is bit-stable for lossless codecs at
   /// pipeline.threads == 1.
@@ -138,17 +122,16 @@ struct CaseReport {
 
 /// Run the full pipeline on a generated dataset bundle. The bundle's
 /// variable roles fill the pipeline config's variable lists when empty.
-/// A DatasetBundle is materialized by definition, so cfg.ingest is
-/// ignored here; use the ProducerBundle overload for streaming ingest.
+/// The memory backend borrows bundle.data without copying it; the series
+/// backend replays it snapshot by snapshot into its store.
 [[nodiscard]] CaseReport run_case(const DatasetBundle& bundle,
                                   CaseConfig cfg);
 
-/// Generator-driven form: with cfg.ingest == "streaming" and a spill
-/// backend (skl2/series), snapshots flow simulate -> encode -> append ->
-/// drop and no full Dataset ever exists; with "materialize" (or the
-/// memory backend) the producer is drained into a DatasetBundle first.
-/// Sample sets and training tensors are bit-identical across all backend
-/// x ingest combinations for lossless codecs. The producer is consumed.
+/// Generator-driven form: with the series backend, snapshots flow
+/// simulate -> encode -> append -> drop and no full Dataset ever exists;
+/// the memory backend drains the producer into a Dataset first. Sample
+/// sets and training tensors are bit-identical across both backends for
+/// lossless codecs. The producer is consumed.
 [[nodiscard]] CaseReport run_case(ProducerBundle& bundle, CaseConfig cfg);
 
 /// Build the supervised TensorDataset for a given architecture from the

@@ -185,8 +185,9 @@ CaseConfig case_from_config(const Config& cfg) {
   std::vector<ValidationIssue> issues;
   CaseConfig cc;
   cc.pipeline = pipeline_into(cfg, &issues);
+  // store.ingest is not read (the backend alone decides how a series is
+  // ingested), so configs that still set it parse unchanged.
   cc.backend = lower(cfg.get_str("store", "backend", "memory"));
-  cc.ingest = lower(cfg.get_str("store", "ingest", "materialize"));
   cc.store = store_into(cfg, &issues);
   cc.spill_dir = cfg.get_str("store", "spill_dir", "");
   cc.temporal = temporal_into(cfg, &issues);

@@ -37,13 +37,12 @@ namespace sickle {
 
 /// Build the store options from the `store` section:
 ///   store:
-///     backend: skl2        # memory | skl2 | series (via case_from_config)
-///     ingest: streaming    # materialize | streaming (via case_from_config)
-///     codec: delta         # raw | delta | quant
+///     backend: series      # memory | series (via case_from_config)
+///     codec: delta         # raw | delta | quant | gorilla
 ///     tolerance: 1e-6      # quant max abs error
 ///     chunk: 32            # cubic chunk edge; chunk_x/y/z override
 ///     cache_mb: 64         # reader block-cache capacity
-///     write_budget_mb: 8   # streaming-writer flush budget (SKL2 v2 + SKL3)
+///     write_budget_mb: 8   # streaming SKL3 writer flush budget
 ///     spill_dir: /scratch  # spill placement (CaseConfig::spill_dir)
 [[nodiscard]] store::StoreOptions store_options_from_config(
     const Config& cfg);

@@ -3,8 +3,8 @@
 ///
 /// Each bundle carries the generated data plus the paper's variable roles
 /// (K-means cluster variable, NN inputs/outputs). Grid sizes are scaled
-/// down per DESIGN.md §2; `scale` >= 1 multiplies the default extents for
-/// larger runs.
+/// down to single-node scale (docs/ARCHITECTURE.md, "Scale and ranks");
+/// `scale` >= 1 multiplies the default extents for larger runs.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +30,8 @@ struct DatasetBundle {
 
 /// A dataset's variable roles plus a snapshot-at-a-time producer — the
 /// streaming-ingest twin of DatasetBundle. run_case can consume this
-/// without a full Dataset ever existing (backend skl2/series with
-/// ingest: streaming); make_dataset materializes it for in-RAM work.
+/// without a full Dataset ever existing (backend series); make_dataset
+/// materializes it for in-RAM work.
 struct ProducerBundle {
   std::unique_ptr<flow::SnapshotProducer> producer;
   std::string name;  ///< Dataset name used when materializing
@@ -55,10 +55,8 @@ struct ProducerBundle {
                                                    std::uint64_t seed = 42,
                                                    double scale = 1.0);
 
-/// Drain a ProducerBundle into the equivalent DatasetBundle — the single
-/// materialization point shared by make_dataset and run_case's
-/// ingest: materialize path, so the two can never diverge field by field.
-/// The producer is consumed.
+/// Drain a ProducerBundle into the equivalent DatasetBundle (what
+/// make_dataset does). The producer is consumed.
 [[nodiscard]] DatasetBundle materialize_bundle(ProducerBundle& bundle);
 
 /// All known labels, in Table 1 order.

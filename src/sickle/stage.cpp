@@ -39,68 +39,45 @@ struct VarScaler {
   }
 };
 
-/// Streaming z-score moment accumulator: feed snapshots one at a time
-/// (variables inner, snapshots outer — the exact accumulation order of a
-/// whole-series fit_scalers pass, so scalers computed incrementally
-/// during ingest are bit-identical to a dedicated post-hoc pass). The
-/// fused streaming-skl2 path folds each spilled snapshot in as it is
-/// sampled, eliminating the scaler pass over the store entirely.
-class ScalerAccumulator {
- public:
-  explicit ScalerAccumulator(std::vector<std::string> vars)
-      : vars_(std::move(vars)), accs_(vars_.size()) {}
-
-  void accumulate(const field::FieldSource& src) {
-    for (std::size_t v = 0; v < vars_.size(); ++v) {
-      field::for_each_flat_batch(src, vars_[v],
-                                 [&](std::span<const double> vals) {
-                                   for (const double x : vals) {
-                                     accs_[v].sum += x;
-                                     accs_[v].sq += x * x;
-                                     ++accs_[v].n;
-                                   }
-                                 });
-    }
-  }
-
-  [[nodiscard]] std::map<std::string, VarScaler> take() const {
-    std::map<std::string, VarScaler> out;
-    for (std::size_t v = 0; v < vars_.size(); ++v) {
-      SICKLE_CHECK_MSG(accs_[v].n > 0, "scaler saw no values: " + vars_[v]);
-      VarScaler s;
-      s.mean = accs_[v].sum / static_cast<double>(accs_[v].n);
-      const double var_x = std::max(
-          accs_[v].sq / static_cast<double>(accs_[v].n) - s.mean * s.mean,
-          1e-24);
-      s.inv_std = 1.0 / std::sqrt(var_x);
-      out[vars_[v]] = s;
-    }
-    return out;
-  }
-
- private:
-  struct Acc {
-    double sum = 0.0, sq = 0.0;
-    std::size_t n = 0;
-  };
-  std::vector<std::string> vars_;
-  std::vector<Acc> accs_;
-};
-
 /// Fit z-score scalers by streaming the series snapshot-major (one pass
 /// over the store, all variables accumulated per visit — out-of-core
 /// sources pay one reader/cache walk per snapshot, not one per variable).
 /// Each variable's accumulator still sees its values in t-ascending flat
 /// order — the same sequence as a span scan over an in-memory Dataset —
 /// so scalers (and therefore training tensors) are bit-identical across
-/// the memory/skl2/series backends for lossless codecs.
+/// the memory/series backends for lossless codecs.
 std::map<std::string, VarScaler> fit_scalers(
     const field::SeriesSource& series, std::span<const std::string> vars) {
-  ScalerAccumulator acc(std::vector<std::string>(vars.begin(), vars.end()));
+  struct Acc {
+    double sum = 0.0, sq = 0.0;
+    std::size_t n = 0;
+  };
+  std::vector<Acc> accs(vars.size());
   for (std::size_t t = 0; t < series.num_snapshots(); ++t) {
-    acc.accumulate(series.source(t));
+    const field::FieldSource& src = series.source(t);
+    for (std::size_t v = 0; v < vars.size(); ++v) {
+      field::for_each_flat_batch(src, vars[v],
+                                 [&](std::span<const double> vals) {
+                                   for (const double x : vals) {
+                                     accs[v].sum += x;
+                                     accs[v].sq += x * x;
+                                     ++accs[v].n;
+                                   }
+                                 });
+    }
   }
-  return acc.take();
+  std::map<std::string, VarScaler> out;
+  for (std::size_t v = 0; v < vars.size(); ++v) {
+    SICKLE_CHECK_MSG(accs[v].n > 0, "scaler saw no values: " + vars[v]);
+    VarScaler s;
+    s.mean = accs[v].sum / static_cast<double>(accs[v].n);
+    const double var_x = std::max(
+        accs[v].sq / static_cast<double>(accs[v].n) - s.mean * s.mean,
+        1e-24);
+    s.inv_std = 1.0 / std::sqrt(var_x);
+    out[vars[v]] = s;
+  }
+  return out;
 }
 
 /// Raw (unstandardized) dense values of `vars` inside a cube, as a
@@ -142,9 +119,8 @@ std::vector<double> raw_sampled_row(const sampling::CubeSamples& cs,
 }
 
 /// Standardize a variable-major raw block (per-var stride =
-/// raw.size() / vars.size()) with each variable's scaler — the exact
-/// per-variable, point-ascending float arithmetic the builder always
-/// used, so deferring standardization to take() changes no bit.
+/// raw.size() / vars.size()) with each variable's scaler, per variable and
+/// point-ascending.
 std::vector<float> standardize(std::span<const double> raw,
                                std::span<const std::string> vars,
                                const std::map<std::string, VarScaler>& sc) {
@@ -160,22 +136,18 @@ std::vector<float> standardize(std::span<const double> raw,
   return out;
 }
 
-/// Streaming training-set builder: accepted cubes are captured as RAW
-/// examples the moment they are sampled, pulling dense values from the
-/// snapshot source that produced them (its blocks are still warm in the
-/// store's LRU cache) — no second pass over the raw data and no
-/// accumulation of the full PipelineResult. Standardization is deferred
-/// to take(): scalers need only exist by then, so the fused streaming
-/// path can accumulate their moments DURING ingest instead of paying a
-/// dedicated pass over the spilled store up front. Both modes run the
-/// identical per-variable float arithmetic in the identical order, so
-/// tensors are bit-identical either way.
+/// Streaming training-set builder: global z-score scalers are fit with a
+/// dedicated pass over the series at construction; accepted cubes are then
+/// captured as RAW examples the moment they are sampled, pulling dense
+/// values from the snapshot source that produced them (its blocks are
+/// still warm in the store's LRU cache) — no second pass over the raw data
+/// and no accumulation of the full PipelineResult. take() standardizes
+/// and builds the tensors.
 class TrainingSetBuilder {
  public:
-  /// Deferred-scaler mode: no pass over any series; pair with
-  /// take(scalers) once the moments are in.
-  TrainingSetBuilder(const CaseConfig& cfg, const field::GridShape& grid)
-      : cfg_(cfg), tiling_(grid, cfg.pipeline.cube),
+  TrainingSetBuilder(const field::SeriesSource& series, const CaseConfig& cfg)
+      : cfg_(cfg),
+        tiling_(series.source(0).shape(), cfg.pipeline.cube),
         edge_(cfg.pipeline.cube.ex) {
     const auto& pl = cfg.pipeline;
     SICKLE_CHECK_MSG(pl.cube.ex == pl.cube.ey && pl.cube.ex == pl.cube.ez,
@@ -185,18 +157,10 @@ class TrainingSetBuilder {
                          cfg.arch == "CNN_Transformer" ||
                          cfg.arch == "Foundation",
                      "build_training_set: unsupported arch " + cfg.arch);
-  }
-
-  /// Immediate-scaler mode: fit global z-score scalers with a dedicated
-  /// pass over `series` now; take() uses them.
-  TrainingSetBuilder(const field::SeriesSource& series, const CaseConfig& cfg)
-      : TrainingSetBuilder(cfg, series.source(0).shape()) {
-    const auto& pl = cfg.pipeline;
     std::vector<std::string> all_vars = pl.input_vars;
     all_vars.insert(all_vars.end(), pl.output_vars.begin(),
                     pl.output_vars.end());
     scalers_ = fit_scalers(series, std::span<const std::string>(all_vars));
-    have_scalers_ = true;
   }
 
   /// Capture one sampled cube's raw values. `src` must be the snapshot
@@ -216,27 +180,19 @@ class TrainingSetBuilder {
     raw_.push_back(std::move(ex));
   }
 
-  /// Standardize with the immediate-mode scalers fit at construction.
+  /// Standardize every captured example and build the tensors.
   [[nodiscard]] ml::TensorDataset take() {
-    SICKLE_CHECK_MSG(have_scalers_,
-                     "deferred TrainingSetBuilder needs take(scalers)");
-    return take(scalers_);
-  }
-
-  /// Standardize every captured example with `sc` and build the tensors.
-  [[nodiscard]] ml::TensorDataset take(
-      const std::map<std::string, VarScaler>& sc) {
     const auto& pl = cfg_.pipeline;
     const std::size_t c_out = pl.output_vars.size();
     ml::TensorDataset out;
     for (RawExample& ex : raw_) {
       auto tgt = standardize(std::span<const double>(ex.target),
                              std::span<const std::string>(pl.output_vars),
-                             sc);
+                             scalers_);
       ml::Tensor target({c_out, edge_, edge_, edge_}, std::move(tgt));
       auto in1 = standardize(std::span<const double>(ex.input),
                              std::span<const std::string>(pl.input_vars),
-                             sc);
+                             scalers_);
       if (cfg_.arch == "MLP_Transformer") {
         const std::size_t f = pl.input_vars.size() * pl.num_samples;
         std::vector<float> in;
@@ -279,119 +235,22 @@ class TrainingSetBuilder {
   field::CubeTiling tiling_;
   std::size_t edge_;
   std::map<std::string, VarScaler> scalers_;
-  bool have_scalers_ = false;
   std::vector<RawExample> raw_;
 };
 
-/// Reader-side I/O tallies of a spill backend, folded across every
-/// ChunkReader the backend recycled — the per-case view of what the
-/// global `store.cache.*` registry counters see process-wide. Lands in
-/// CaseReport::metrics.
-struct SpillIoStats {
-  store::CacheStats cache;
-  std::uint64_t bytes_read = 0;
-
-  void fold(const store::ChunkReader& reader) {
-    fold(reader.cache_stats(), reader.io_bytes_read());
-  }
-  void fold(const store::CacheStats& cs, std::uint64_t io_bytes) {
-    cache.hits += cs.hits;
-    cache.misses += cs.misses;
-    cache.evictions += cs.evictions;
-    bytes_read += io_bytes;
-  }
-};
-
-void record_spill_metrics(CaseReport& report, const SpillIoStats& io) {
-  report.metrics["store.cache_hits"] = static_cast<double>(io.cache.hits);
-  report.metrics["store.cache_misses"] =
-      static_cast<double>(io.cache.misses);
+/// Reader-side I/O tallies of the spilled store — the per-case view of
+/// what the global `store.cache.*` registry counters see process-wide.
+/// Lands in CaseReport::metrics.
+void record_spill_metrics(CaseReport& report,
+                          const store::SeriesReader& reader) {
+  const store::CacheStats cache = reader.cache_stats();
+  report.metrics["store.cache_hits"] = static_cast<double>(cache.hits);
+  report.metrics["store.cache_misses"] = static_cast<double>(cache.misses);
   report.metrics["store.cache_evictions"] =
-      static_cast<double>(io.cache.evictions);
+      static_cast<double>(cache.evictions);
   report.metrics["store.io_bytes_read"] =
-      static_cast<double>(io.bytes_read);
+      static_cast<double>(reader.io_bytes_read());
 }
-
-/// Per-snapshot SKL2 spill presented as a SeriesSource (the legacy
-/// "skl2" backend, kept for compatibility with single-snapshot `.skl2`
-/// tooling). Exactly one spill file exists on disk at a time — the
-/// legacy write/sample/delete contract, O(one compressed snapshot) of
-/// scratch space no matter how long the series. source(t) encodes
-/// snapshot t on demand and deletes the previous spill, so a stage that
-/// revisits snapshots (the temporal PDF passes) re-encodes them; runs
-/// that need every snapshot resident at once should use the "series"
-/// backend, which pays one SKL3 container instead. source(t) invalidates
-/// the previously borrowed view when t changes — the documented
-/// SeriesSource contract for sequential drivers.
-class Skl2SpillSeries final : public field::SeriesSource {
- public:
-  Skl2SpillSeries(const field::Dataset& data, const fs::path& dir,
-                  const store::StoreOptions& opts, std::size_t* store_bytes,
-                  std::size_t* peak_disk_bytes = nullptr)
-      : data_(data),
-        dir_(dir),
-        opts_(opts),
-        store_bytes_(store_bytes),
-        peak_disk_bytes_(peak_disk_bytes),
-        counted_(data.num_snapshots(), false) {}
-
-  [[nodiscard]] std::size_t num_snapshots() const override {
-    return data_.num_snapshots();
-  }
-
-  [[nodiscard]] const field::FieldSource& source(
-      std::size_t t) const override {
-    SICKLE_CHECK(t < num_snapshots());
-    if (reader_ == nullptr || current_ != t) {
-      if (reader_ != nullptr) io_.fold(*reader_);
-      reader_.reset();  // close before deleting the previous spill file
-      if (current_ != kNone) {
-        std::error_code ec;
-        fs::remove(path(current_), ec);
-      }
-      const auto written =
-          store::write_store(data_.snapshot(t), path(t), opts_);
-      // store_bytes reports the series' compressed footprint: count each
-      // snapshot once, not once per re-encode.
-      if (store_bytes_ != nullptr && !counted_[t]) {
-        *store_bytes_ += written.file_bytes;
-        counted_[t] = true;
-      }
-      // The previous spill was deleted above, so exactly one file is live.
-      if (peak_disk_bytes_ != nullptr) {
-        *peak_disk_bytes_ = std::max(*peak_disk_bytes_, written.file_bytes);
-      }
-      reader_ =
-          std::make_unique<store::ChunkReader>(path(t), opts_.cache_bytes);
-      current_ = t;
-    }
-    return *reader_;
-  }
-
-  /// Lifetime I/O tallies including the currently open reader.
-  [[nodiscard]] SpillIoStats io_stats() const {
-    SpillIoStats out = io_;
-    if (reader_ != nullptr) out.fold(*reader_);
-    return out;
-  }
-
- private:
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-
-  [[nodiscard]] std::string path(std::size_t t) const {
-    return (dir_ / ("snap_" + std::to_string(t) + ".skl2")).string();
-  }
-
-  const field::Dataset& data_;
-  fs::path dir_;
-  store::StoreOptions opts_;
-  std::size_t* store_bytes_;
-  std::size_t* peak_disk_bytes_;
-  mutable std::vector<bool> counted_;
-  mutable std::unique_ptr<store::ChunkReader> reader_;
-  mutable std::size_t current_ = kNone;
-  mutable SpillIoStats io_;
-};
 
 /// Spill lifecycle (config-controlled): the directory is removed as soon
 /// as the training set is built; if the run throws first, it is kept and
@@ -456,49 +315,6 @@ struct Fnv64 {
   }
 };
 
-/// Streaming-ingest skl2 backend: one SKL2 file per snapshot, written
-/// up front as the producer yields them (so peak memory is one snapshot,
-/// unlike Skl2SpillSeries which re-encodes from RAM on demand). A single
-/// reader is recycled across source(t) calls — the documented sequential
-/// SeriesSource borrow contract — so reader memory stays O(one cache) no
-/// matter how long the series is; revisits (the temporal PDF passes)
-/// reopen files instead of re-encoding snapshots.
-class Skl2FilesSeries final : public field::SeriesSource {
- public:
-  Skl2FilesSeries(std::vector<std::string> paths, std::size_t cache_bytes)
-      : paths_(std::move(paths)), cache_bytes_(cache_bytes) {}
-
-  [[nodiscard]] std::size_t num_snapshots() const override {
-    return paths_.size();
-  }
-
-  [[nodiscard]] const field::FieldSource& source(
-      std::size_t t) const override {
-    SICKLE_CHECK(t < paths_.size());
-    if (reader_ == nullptr || current_ != t) {
-      if (reader_ != nullptr) io_.fold(*reader_);
-      reader_ =
-          std::make_unique<store::ChunkReader>(paths_[t], cache_bytes_);
-      current_ = t;
-    }
-    return *reader_;
-  }
-
-  /// Lifetime I/O tallies including the currently open reader.
-  [[nodiscard]] SpillIoStats io_stats() const {
-    SpillIoStats out = io_;
-    if (reader_ != nullptr) out.fold(*reader_);
-    return out;
-  }
-
- private:
-  std::vector<std::string> paths_;
-  std::size_t cache_bytes_;
-  mutable std::unique_ptr<store::ChunkReader> reader_;
-  mutable std::size_t current_ = static_cast<std::size_t>(-1);
-  mutable SpillIoStats io_;
-};
-
 /// Mirror the scalar CaseReport fields into the metrics map so one
 /// key-value view carries the whole per-case telemetry story.
 void finalize_case_metrics(CaseReport& report) {
@@ -523,222 +339,44 @@ store::ReaderOptions series_reader_options(const store::StoreOptions& s) {
   return ropts;
 }
 
-/// Fused rolling-window streaming-skl2 case: with the temporal stage off
-/// every snapshot is selected, so ingest, scaler-moment accumulation, and
-/// sampling collapse into ONE producer pass — each spill file is written,
-/// sampled straight into the (deferred) training-set builder, folded into
-/// the z-score moments, and deleted before the next snapshot is produced.
-/// Live disk stays O(one compressed snapshot) for any series length
-/// (CaseReport::ingest_peak_disk_bytes), while sample_hash and the
-/// training tensors stay bit-identical to the non-fused path: the same
-/// per-snapshot pipeline over the same SKL2 blocks, the same
-/// snapshot-major accumulation order, and the same standardization
-/// arithmetic — only WHEN each piece of work happens moves.
-CaseReport run_case_fused_skl2(ProducerBundle& bundle, const CaseConfig& cfg,
-                               Observer* obs) {
-  CaseReport report;
-  obs::Span case_span("case.run", "case");
-  energy::EnergyCounter sampling_energy;
-  ml::TensorDataset data;
-  {
-    SpillGuard guard;
-    guard.dir = make_spill_dir(cfg.spill_dir);
-    guard.armed = true;
-    const auto& pl = cfg.pipeline;
-    std::vector<std::string> all_vars = pl.input_vars;
-    all_vars.insert(all_vars.end(), pl.output_vars.begin(),
-                    pl.output_vars.end());
-    ScalerAccumulator scalers(all_vars);
-    std::unique_ptr<TrainingSetBuilder> builder;
-    Fnv64 hash;
-    const PoolHandle pool = resolve_threads(pl.threads);
-    SpillIoStats io;
-    std::size_t max_snap_bytes = 0;
-    std::size_t max_wave_bytes = 0;
-    double ingest_seconds = 0.0;
-    Timer stage_timer;
-    std::size_t t = 0;
-    const std::size_t planned = bundle.producer->num_snapshots();
-    {
-      obs::Span ingest_span("case.ingest", "case");
-      if (obs != nullptr) obs->on_state(CaseState::kIngesting);
-      while (auto snap = bundle.producer->next()) {
-        checkpoint(obs);
-        max_snap_bytes = std::max(max_snap_bytes, snap->bytes());
-        const std::string path =
-            (guard.dir / ("snap_" + std::to_string(t) + ".skl2")).string();
-        std::unique_ptr<store::ChunkReader> reader;
-        {
-          ScopedTimer ingest_timer(ingest_seconds);
-          const auto wr = store::write_store(*snap, path, cfg.store);
-          report.store_bytes += wr.file_bytes;
-          max_wave_bytes = std::max(max_wave_bytes, wr.peak_buffered_bytes);
-          // Exactly one spill file is alive at this point.
-          report.ingest_peak_disk_bytes =
-              std::max(report.ingest_peak_disk_bytes, wr.file_bytes);
-          reader = std::make_unique<store::ChunkReader>(
-              path, cfg.store.cache_bytes);
-        }
-        snap.reset();  // values live in the spill now; free the snapshot
-        if (builder == nullptr) {
-          builder = std::make_unique<TrainingSetBuilder>(cfg,
-                                                         reader->shape());
-        }
-        scalers.accumulate(*reader);
-        auto r = sampling::run_pipeline_streaming(*reader, pl, t, pool.get());
-        report.sampled_points += r.total_points();
-        report.sampling_seconds += r.sampling_seconds;
-        sampling_energy.merge(r.energy);
-        for (const auto& cs : r.cubes) {
-          hash.pod<std::uint64_t>(cs.snapshot);
-          hash.pod<std::uint64_t>(cs.cube_id);
-          hash.pod<std::uint64_t>(cs.samples.points());
-          for (const std::size_t idx : cs.samples.indices) {
-            hash.pod<std::uint64_t>(idx);
-          }
-          for (const double x : cs.samples.features) hash.pod<double>(x);
-          builder->push(*reader, cs);
-        }
-        io.fold(*reader);
-        reader.reset();  // close before deleting the spill
-        std::error_code ec;
-        fs::remove(path, ec);
-        ++t;
-        if (obs != nullptr) obs->on_progress(t, planned);
-      }
-      SICKLE_CHECK_MSG(t > 0, "producer yielded no snapshots");
-    }
-    report.ingest_peak_bytes = max_snap_bytes + max_wave_bytes;
-    report.sampling_seconds += ingest_seconds;
-    report.sample_hash = hash.h;
-    report.metrics["case.ingest_seconds"] = ingest_seconds;
-    // Stage spans stay four-per-case even when fused: selection is an
-    // empty span (identity selection), sampling covers the deferred
-    // tensor build.
-    if (obs != nullptr) obs->on_state(CaseState::kSelecting);
-    { obs::Span selection_span("case.selection", "case"); }
-    report.metrics["case.selection_seconds"] = 0.0;
+/// Pull every snapshot out of `producer` into `sink`, polling for
+/// cancellation and reporting progress once per snapshot. At most one
+/// produced snapshot is alive here at a time. Returns the largest
+/// snapshot's size in bytes.
+template <typename Sink>
+std::size_t drain(flow::SnapshotProducer& producer, Observer* obs,
+                  Sink&& sink) {
+  const std::size_t planned = producer.num_snapshots();
+  std::size_t done = 0;
+  std::size_t max_snap_bytes = 0;
+  while (auto snap = producer.next()) {
     checkpoint(obs);
-    if (obs != nullptr) obs->on_state(CaseState::kSampling);
-    {
-      obs::Span sampling_span("case.sampling", "case");
-      data = builder->take(scalers.take());
-    }
-    report.metrics["case.sampling_seconds"] =
-        std::max(stage_timer.seconds() - ingest_seconds, 0.0);
-    record_spill_metrics(report, io);
-    guard.remove_now();
+    max_snap_bytes = std::max(max_snap_bytes, snap->bytes());
+    sink(std::move(*snap));
+    ++done;
+    if (obs != nullptr) obs->on_progress(done, planned);
   }
-  report.sampling_kilojoules = sampling_energy.projected_kilojoules();
-
-  training(data, cfg, report, obs);
-  finalize_case_metrics(report);
-  return report;
+  SICKLE_CHECK_MSG(done > 0, "producer yielded no snapshots");
+  return max_snap_bytes;
 }
 
-void check_backend_and_ingest(const CaseConfig& cfg) {
-  SICKLE_CHECK_MSG(cfg.backend == "memory" || cfg.backend == "skl2" ||
-                       cfg.backend == "series",
-                   "unknown case backend: " + cfg.backend);
-  SICKLE_CHECK_MSG(cfg.ingest == "materialize" || cfg.ingest == "streaming",
-                   "unknown ingest mode: " + cfg.ingest);
-}
-
-/// Streaming run over a producer (skl2 non-fused / series backends).
-CaseReport run_streaming(ProducerBundle& bundle, const CaseConfig& cfg,
-                         Observer* obs) {
-  CaseReport report;
-  obs::Span case_span("case.run", "case");
-  energy::EnergyCounter sampling_energy;
-  ml::TensorDataset data;
-  {
-    // --- Stage A, streaming: simulate -> encode -> append -> drop. At
-    // most one produced snapshot is alive at any point (the loop
-    // variable), and the store writer buffers at most one
-    // write-budget-bounded wave of encoded blocks, so peak ingest memory
-    // is one snapshot + budget (+ codec slack) — never the series.
-    SpillGuard guard;
-    guard.dir = make_spill_dir(cfg.spill_dir);
-    guard.armed = true;
-    std::unique_ptr<field::SeriesSource> spilled;
-    double ingest_seconds = 0.0;
-    const std::size_t planned = bundle.producer->num_snapshots();
-    {
-      obs::Span ingest_span("case.ingest", "case");
-      if (obs != nullptr) obs->on_state(CaseState::kIngesting);
-      ScopedTimer spill_timer(ingest_seconds);
-      std::size_t max_snap_bytes = 0;
-      if (cfg.backend == "series") {
-        const std::string path = (guard.dir / "series.skl3").string();
-        store::SeriesWriter writer(path, cfg.store);
-        while (auto snap = bundle.producer->next()) {
-          checkpoint(obs);
-          max_snap_bytes = std::max(max_snap_bytes, snap->bytes());
-          writer.append(*snap);
-          if (obs != nullptr) {
-            obs->on_progress(writer.snapshots_appended(), planned);
-          }
-        }
-        // Check before close(): an empty series must fail with the
-        // producer-level message, not the store-internal one.
-        SICKLE_CHECK_MSG(writer.snapshots_appended() > 0,
-                         "producer yielded no snapshots");
-        const auto wr = writer.close();
-        report.store_bytes = wr.file_bytes;
-        report.ingest_peak_bytes = max_snap_bytes + wr.peak_buffered_bytes;
-        report.ingest_peak_disk_bytes = report.store_bytes;
-        spilled = std::make_unique<store::SeriesReader>(
-            path, series_reader_options(cfg.store));
-      } else {  // skl2: one file per snapshot, written as produced
-        std::vector<std::string> paths;
-        paths.reserve(bundle.producer->num_snapshots());
-        std::size_t max_wave_bytes = 0;
-        std::size_t t = 0;
-        while (auto snap = bundle.producer->next()) {
-          checkpoint(obs);
-          max_snap_bytes = std::max(max_snap_bytes, snap->bytes());
-          paths.push_back(
-              (guard.dir / ("snap_" + std::to_string(t++) + ".skl2"))
-                  .string());
-          const auto wr = store::write_store(*snap, paths.back(), cfg.store);
-          report.store_bytes += wr.file_bytes;
-          max_wave_bytes = std::max(max_wave_bytes, wr.peak_buffered_bytes);
-          if (obs != nullptr) obs->on_progress(t, planned);
-        }
-        SICKLE_CHECK_MSG(!paths.empty(), "producer yielded no snapshots");
-        report.ingest_peak_bytes = max_snap_bytes + max_wave_bytes;
-        // Non-fused (temporal selection revisits snapshots): every spill
-        // file stays until sampling completes.
-        report.ingest_peak_disk_bytes = report.store_bytes;
-        spilled = std::make_unique<Skl2FilesSeries>(std::move(paths),
-                                                   cfg.store.cache_bytes);
-      }
-    }
-    report.sampling_seconds += ingest_seconds;
-    report.metrics["case.ingest_seconds"] = ingest_seconds;
-
-    const auto selected = selection(*spilled, cfg, report, obs);
-    data = sampling(*spilled, std::span<const std::size_t>(selected), cfg,
-                    report, sampling_energy, obs);
-
-    if (cfg.backend == "series") {
-      auto* reader = static_cast<store::SeriesReader*>(spilled.get());
-      SpillIoStats io;
-      io.fold(reader->cache_stats(), reader->io_bytes_read());
-      record_spill_metrics(report, io);
-    } else {
-      record_spill_metrics(
-          report, static_cast<Skl2FilesSeries*>(spilled.get())->io_stats());
-    }
-
-    spilled.reset();
-    guard.remove_now();
-  }
-  report.sampling_kilojoules = sampling_energy.projected_kilojoules();
-
-  training(data, cfg, report, obs);
-  finalize_case_metrics(report);
-  return report;
+/// Stage A for the series backend: simulate -> encode -> append -> drop.
+/// The writer buffers at most one write-budget-bounded wave of encoded
+/// blocks, so peak ingest memory is one snapshot + budget (+ codec
+/// slack) — never the series.
+std::unique_ptr<store::SeriesReader> spill_series(
+    flow::SnapshotProducer& producer, const CaseConfig& cfg,
+    const fs::path& dir, CaseReport& report, Observer* obs) {
+  const std::string path = (dir / "series.skl3").string();
+  store::SeriesWriter writer(path, cfg.store);
+  const std::size_t max_snap_bytes = drain(
+      producer, obs, [&](field::Snapshot&& snap) { writer.append(snap); });
+  const auto wr = writer.close();
+  report.store_bytes = wr.file_bytes;
+  report.ingest_peak_bytes = max_snap_bytes + wr.peak_buffered_bytes;
+  report.ingest_peak_disk_bytes = report.store_bytes;
+  return std::make_unique<store::SeriesReader>(
+      path, series_reader_options(cfg.store));
 }
 
 }  // namespace
@@ -789,18 +427,10 @@ ml::TensorDataset sampling(const field::SeriesSource& series,
   TrainingSetBuilder builder(series, cfg);
   Fnv64 hash;
   const PoolHandle pool = resolve_threads(pl.threads);
-  double source_seconds = 0.0;
   std::size_t done = 0;
   for (const std::size_t t : selected) {
     checkpoint(obs);
-    const field::FieldSource* srcp = nullptr;
-    {
-      // source(t) is where the lazy skl2 backend encodes its spill, so
-      // time it as ingest — every backend's T1 cost lands in the report.
-      ScopedTimer ingest_timer(source_seconds);
-      srcp = &series.source(t);
-    }
-    const field::FieldSource& src = *srcp;
+    const field::FieldSource& src = series.source(t);
     auto r = sampling::run_pipeline_streaming(src, pl, t, pool.get());
     report.sampled_points += r.total_points();
     report.sampling_seconds += r.sampling_seconds;
@@ -817,7 +447,6 @@ ml::TensorDataset sampling(const field::SeriesSource& series,
     }
     if (obs != nullptr) obs->on_progress(++done, selected.size());
   }
-  report.sampling_seconds += source_seconds;
   report.sample_hash = hash.h;
   report.metrics["case.sampling_seconds"] = stage_timer.seconds();
   return builder.take();
@@ -879,116 +508,76 @@ void training(const ml::TensorDataset& data, const CaseConfig& cfg,
   report.metrics["case.training_seconds"] = stage_timer.seconds();
 }
 
-CaseReport run_staged(const DatasetBundle& bundle, CaseConfig cfg,
+CaseReport run_staged(ProducerBundle& bundle, CaseConfig cfg,
                       Observer* obs) {
   // Fill variable roles from the bundle when the config left them empty.
   auto& pl = cfg.pipeline;
   if (pl.input_vars.empty()) pl.input_vars = bundle.input_vars;
   if (pl.output_vars.empty()) pl.output_vars = bundle.output_vars;
   if (pl.cluster_var.empty()) pl.cluster_var = bundle.cluster_var;
-
-  CaseReport report;
-  check_backend_and_ingest(cfg);
-
-  obs::Span case_span("case.run", "case");
-  energy::EnergyCounter sampling_energy;
-  ml::TensorDataset data;
-  {
-    // --- Stage A: ingest. Materialize the dataset as a SeriesSource:
-    // borrowed RAM views, per-snapshot SKL2 spills, or one streaming
-    // SKL3 container whose writer memory is bounded by the write budget.
-    SpillGuard guard;
-    const field::DatasetSeriesSource mem_series(bundle.data);
-    std::unique_ptr<field::SeriesSource> spilled;
-    const field::SeriesSource* series = &mem_series;
-    double ingest_seconds = 0.0;
-    {
-      obs::Span ingest_span("case.ingest", "case");
-      if (obs != nullptr) obs->on_state(CaseState::kIngesting);
-      checkpoint(obs);
-      if (cfg.backend != "memory") {
-        ScopedTimer spill_timer(ingest_seconds);
-        guard.dir = make_spill_dir(cfg.spill_dir);
-        guard.armed = true;
-        if (cfg.backend == "skl2") {
-          spilled = std::make_unique<Skl2SpillSeries>(
-              bundle.data, guard.dir, cfg.store, &report.store_bytes,
-              &report.ingest_peak_disk_bytes);
-        } else {
-          const std::string path = (guard.dir / "series.skl3").string();
-          store::SeriesWriter writer(path, cfg.store);
-          for (std::size_t t = 0; t < bundle.data.num_snapshots(); ++t) {
-            writer.append(bundle.data.snapshot(t));
-            if (obs != nullptr) {
-              obs->on_progress(t + 1, bundle.data.num_snapshots());
-            }
-          }
-          report.store_bytes = writer.close().file_bytes;
-          report.ingest_peak_disk_bytes = report.store_bytes;
-          spilled = std::make_unique<store::SeriesReader>(
-              path, series_reader_options(cfg.store));
-        }
-        series = spilled.get();
-      }
-    }
-    report.sampling_seconds += ingest_seconds;
-    report.metrics["case.ingest_seconds"] = ingest_seconds;
-
-    const auto selected = selection(*series, cfg, report, obs);
-    data = sampling(*series, std::span<const std::size_t>(selected), cfg,
-                    report, sampling_energy, obs);
-
-    // Reader-side I/O tallies, folded before the readers close.
-    if (cfg.backend == "skl2") {
-      record_spill_metrics(
-          report, static_cast<Skl2SpillSeries*>(spilled.get())->io_stats());
-    } else if (cfg.backend == "series") {
-      auto* reader = static_cast<store::SeriesReader*>(spilled.get());
-      SpillIoStats io;
-      io.fold(reader->cache_stats(), reader->io_bytes_read());
-      record_spill_metrics(report, io);
-    }
-
-    // The spill is only needed until the training set exists; reclaim the
-    // disk before the (potentially long) training stage.
-    spilled.reset();
-    guard.remove_now();
-  }
-  // Node-projected energy: static power charged against roofline node
-  // time, so ratios between cases track data volume and compute — the
-  // regime the paper measures (see energy::EnergyModel).
-  report.sampling_kilojoules = sampling_energy.projected_kilojoules();
-
-  training(data, cfg, report, obs);
-  finalize_case_metrics(report);
-  return report;
-}
-
-CaseReport run_staged(ProducerBundle& bundle, CaseConfig cfg,
-                      Observer* obs) {
-  auto& pl = cfg.pipeline;
-  if (pl.input_vars.empty()) pl.input_vars = bundle.input_vars;
-  if (pl.output_vars.empty()) pl.output_vars = bundle.output_vars;
-  if (pl.cluster_var.empty()) pl.cluster_var = bundle.cluster_var;
-  check_backend_and_ingest(cfg);
+  SICKLE_CHECK_MSG(cfg.backend == "memory" || cfg.backend == "series",
+                   "unknown case backend: " + cfg.backend);
 
   try {
-    // The memory backend borrows views of a full Dataset, so it always
-    // materializes; so does explicit ingest: materialize — both delegate
-    // to the DatasetBundle path for bit-exact legacy behavior.
-    if (cfg.backend == "memory" || cfg.ingest == "materialize") {
-      return run_staged(materialize_bundle(bundle), std::move(cfg), obs);
-    }
+    CaseReport report;
+    obs::Span case_span("case.run", "case");
+    energy::EnergyCounter sampling_energy;
+    ml::TensorDataset data;
+    {
+      // --- Stage A: ingest the producer as a SeriesSource — RAM views of
+      // a Dataset (memory) or one streaming SKL3 container (series).
+      SpillGuard guard;
+      field::Dataset owned(bundle.name);
+      std::unique_ptr<field::DatasetSeriesSource> memory;
+      std::unique_ptr<store::SeriesReader> reader;
+      double ingest_seconds = 0.0;
+      {
+        obs::Span ingest_span("case.ingest", "case");
+        if (obs != nullptr) obs->on_state(CaseState::kIngesting);
+        checkpoint(obs);
+        ScopedTimer ingest_timer(ingest_seconds);
+        if (cfg.backend == "memory") {
+          // Borrow a Dataset the producer would only replay; otherwise
+          // materialize it.
+          const field::Dataset* ds = bundle.producer->resident();
+          if (ds == nullptr) {
+            (void)drain(*bundle.producer, obs, [&](field::Snapshot&& snap) {
+              owned.push(std::move(snap));
+            });
+            ds = &owned;
+          }
+          memory = std::make_unique<field::DatasetSeriesSource>(*ds);
+        } else {
+          guard.dir = make_spill_dir(cfg.spill_dir);
+          guard.armed = true;
+          reader = spill_series(*bundle.producer, cfg, guard.dir, report, obs);
+        }
+      }
+      report.sampling_seconds += ingest_seconds;
+      report.metrics["case.ingest_seconds"] = ingest_seconds;
 
-    // Rolling-window fast path: streaming skl2 with the temporal stage
-    // off never revisits a snapshot, so spill files are deleted as they
-    // are consumed — O(one snapshot) of disk instead of the whole series,
-    // with bit-identical samples and tensors (see run_case_fused_skl2).
-    if (cfg.backend == "skl2" && !cfg.temporal.enabled()) {
-      return run_case_fused_skl2(bundle, cfg, obs);
-    }
+      const field::SeriesSource& series =
+          memory != nullptr ? static_cast<const field::SeriesSource&>(*memory)
+                            : *reader;
+      const auto selected = selection(series, cfg, report, obs);
+      data = sampling(series, std::span<const std::size_t>(selected), cfg,
+                      report, sampling_energy, obs);
 
-    return run_streaming(bundle, cfg, obs);
+      // The spill is only needed until the training set exists; fold the
+      // reader's I/O tallies, then reclaim the disk before the
+      // (potentially long) training stage.
+      if (reader != nullptr) record_spill_metrics(report, *reader);
+      reader.reset();
+      guard.remove_now();
+    }
+    // Node-projected energy: static power charged against roofline node
+    // time, so ratios between cases track data volume and compute — the
+    // regime the paper measures (see energy::EnergyModel).
+    report.sampling_kilojoules = sampling_energy.projected_kilojoules();
+
+    training(data, cfg, report, obs);
+    finalize_case_metrics(report);
+    return report;
   } catch (...) {
     // A failed or cancelled run must not leave a half-consumed producer:
     // rewind it when the generator supports the reset() contract so the

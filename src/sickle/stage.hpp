@@ -77,17 +77,14 @@ void checkpoint(const Observer* obs);
 void training(const ml::TensorDataset& data, const CaseConfig& cfg,
               CaseReport& report, Observer* obs = nullptr);
 
-/// Run the full staged case over a materialized dataset. Exactly
-/// `run_case(bundle, cfg)` plus the observer hooks; run_case passes
-/// nullptr.
-[[nodiscard]] CaseReport run_staged(const DatasetBundle& bundle,
-                                    CaseConfig cfg, Observer* obs);
-
-/// Run the full staged case over a producer (streaming or materialized
-/// ingest per cfg.ingest). On ANY failure or cancellation the producer is
-/// reset() when its generator supports rewinding (flow::CloneError is
-/// swallowed), so a rejected or cancelled submission does not leave a
-/// half-consumed producer behind; on success the producer is consumed.
+/// Run the full staged case over a producer: the memory backend
+/// materializes it into a Dataset (or borrows the one it would only
+/// replay, see flow::SnapshotProducer::resident), the series backend
+/// streams it into one SKL3 container; stages B-D are shared. On ANY
+/// failure or cancellation the producer is reset() when its generator
+/// supports rewinding (flow::CloneError is swallowed), so a rejected or
+/// cancelled submission does not leave a half-consumed producer behind;
+/// on success the producer is consumed.
 [[nodiscard]] CaseReport run_staged(ProducerBundle& bundle, CaseConfig cfg,
                                     Observer* obs);
 

@@ -1,6 +1,6 @@
 /// @file block_cache.hpp
 /// @brief Sharded byte-bounded LRU block cache + pread(2) file access,
-/// shared by the SKL2 ChunkReader and the SKL3 SeriesReader.
+/// behind the SKL3 SeriesReader.
 ///
 /// The cache maps a 64-bit block key to the decoded values of one chunk.
 /// It is split into power-of-two shards (each with its own mutex, LRU

@@ -1,5 +1,5 @@
 /// @file chunk_layout.hpp
-/// @brief Fixed-size 3D chunk decomposition of a grid for the SKL2 store.
+/// @brief Fixed-size 3D chunk decomposition of a grid for the SKL3 store.
 ///
 /// Unlike sampling's CubeTiling (which drops trailing partial cubes), the
 /// store must cover every grid point, so edge chunks are allowed to be
@@ -101,8 +101,8 @@ class ChunkLayout {
   std::size_t ncx_ = 1, ncy_ = 1, ncz_ = 1;
 };
 
-/// Append one POD value's bytes to a serialization buffer — shared by the
-/// SKL2 and SKL3 index-section builders so the two cannot drift.
+/// Append one POD value's bytes to a serialization buffer — the SKL3
+/// index-section builder's primitive.
 template <typename T>
 void append_pod(std::vector<std::uint8_t>& buf, const T& v) {
   const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
@@ -110,7 +110,7 @@ void append_pod(std::vector<std::uint8_t>& buf, const T& v) {
 }
 
 /// FNV-1a 64-bit over a byte range — the integrity checksum guarding the
-/// SKL2/SKL3 index sections (and any other store metadata that must fail
+/// SKL3 index section (and any other store metadata that must fail
 /// loudly on a corrupt byte rather than decode garbage).
 [[nodiscard]] inline std::uint64_t fnv1a64(
     std::span<const std::uint8_t> bytes,
@@ -124,8 +124,7 @@ void append_pod(std::vector<std::uint8_t>& buf, const T& v) {
 }
 
 /// Copy one chunk's values out of a full field, z-fastest within the box —
-/// the writer-side twin of ChunkLayout::local_offset, shared by the SKL2
-/// and SKL3 writers.
+/// the writer-side twin of ChunkLayout::local_offset.
 [[nodiscard]] inline std::vector<double> extract_chunk(
     std::span<const double> data, const field::GridShape& grid,
     const ChunkLayout::Box& b) {

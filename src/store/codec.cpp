@@ -21,7 +21,7 @@ void append_pod(std::vector<std::uint8_t>& out, const T& v) {
 template <typename T>
 T read_pod(std::span<const std::uint8_t> block, std::size_t& pos) {
   if (pos + sizeof(T) > block.size()) {
-    throw RuntimeError("truncated SKL2 chunk block");
+    throw RuntimeError("truncated chunk block");
   }
   T v{};
   std::memcpy(&v, block.data() + pos, sizeof(T));
@@ -46,7 +46,9 @@ constexpr double kMaxLevels = 281474976710655.0;  // 2^48 - 1
 std::vector<std::uint8_t> RawCodec::encode(
     std::span<const double> values) const {
   std::vector<std::uint8_t> out(values.size() * sizeof(double));
-  std::memcpy(out.data(), values.data(), out.size());
+  // memcpy's pointers must be non-null even for zero bytes; an empty
+  // span's data() may be null.
+  if (!out.empty()) std::memcpy(out.data(), values.data(), out.size());
   return out;
 }
 
@@ -56,7 +58,7 @@ std::vector<double> RawCodec::decode(std::span<const std::uint8_t> block,
     throw RuntimeError("raw chunk block has wrong size");
   }
   std::vector<double> out(count);
-  std::memcpy(out.data(), block.data(), block.size());
+  if (count > 0) std::memcpy(out.data(), block.data(), block.size());
   return out;
 }
 
@@ -94,7 +96,7 @@ std::vector<double> DeltaCodec::decode(std::span<const std::uint8_t> block,
                                        std::size_t count) const {
   const std::size_t nibble_bytes = (count + 1) / 2;
   if (block.size() < nibble_bytes) {
-    throw RuntimeError("truncated SKL2 chunk block");
+    throw RuntimeError("truncated chunk block");
   }
   std::vector<double> out(count);
   std::size_t pos = nibble_bytes;
@@ -282,7 +284,7 @@ std::vector<double> QuantCodec::decode(std::span<const std::uint8_t> block,
   for (std::size_t i = 0; i < count; ++i) {
     while (acc_bits < bits) {
       if (pos >= block.size()) {
-        throw RuntimeError("truncated SKL2 chunk block");
+        throw RuntimeError("truncated chunk block");
       }
       acc |= static_cast<std::uint64_t>(block[pos++]) << acc_bits;
       acc_bits += 8;

@@ -1,5 +1,5 @@
 /// @file codec.hpp
-/// @brief Pluggable per-chunk codecs for the SKL2 snapshot store.
+/// @brief Pluggable per-chunk codecs for the SKL3 series store.
 ///
 /// Each chunk of a stored field is encoded independently by one codec, so
 /// chunks decompress in isolation (random access) and encode in parallel.
@@ -29,7 +29,7 @@
 
 namespace sickle::store {
 
-/// On-disk codec identifiers (stored in the SKL2 header; stable).
+/// On-disk codec identifiers (stored in the SKL3 header; stable).
 enum class CodecId : std::uint8_t {
   kRaw = 0,
   kDelta = 1,

@@ -101,6 +101,71 @@ class HeaderCursor {
 
 }  // namespace
 
+WaveWriteStats write_blocks_in_waves(const field::Snapshot& snap,
+                                     const ChunkLayout& layout,
+                                     const std::vector<std::string>& names,
+                                     const Codec& codec, ThreadPool* pool,
+                                     std::size_t budget_bytes,
+                                     std::ofstream& out,
+                                     const std::string& path,
+                                     std::vector<BlockRef>& index) {
+  const std::size_t nchunks = layout.count();
+  const std::size_t total = names.size() * nchunks;
+  const std::size_t budget = std::max<std::size_t>(
+      budget_bytes, layout.box(0).points() * sizeof(double));
+  WaveWriteStats stats;
+  std::size_t wave_begin = 0;
+  while (wave_begin < total) {
+    std::size_t wave_end = wave_begin;
+    std::size_t wave_raw = 0;
+    while (wave_end < total) {
+      const std::size_t raw =
+          layout.box(wave_end % nchunks).points() * sizeof(double);
+      if (wave_end > wave_begin && wave_raw + raw > budget) break;
+      wave_raw += raw;
+      ++wave_end;
+    }
+    std::vector<std::vector<std::uint8_t>> blocks(wave_end - wave_begin);
+    // encode_seconds is extract + encode only — stop the clock before the
+    // flush so storage benches report codec throughput, not disk speed.
+    double wave_seconds = 0.0;
+    {
+      obs::Span span("codec.encode", "codec");
+      ScopedTimer encode_timer(wave_seconds);
+      parallel_for(
+          blocks.size(),
+          [&](std::size_t i) {
+            const std::size_t b = wave_begin + i;
+            const auto& data = snap.get(names[b / nchunks]).data();
+            const auto vals =
+                extract_chunk(data, snap.shape(), layout.box(b % nchunks));
+            blocks[i] = codec.encode(std::span<const double>(vals));
+          },
+          pool, /*grain=*/1);
+    }
+    stats.encode_seconds += wave_seconds;
+    if (obs::enabled()) {
+      obs::MetricsRegistry::global()
+          .gauge("codec.encode_seconds")
+          .add(wave_seconds);
+    }
+    std::size_t buffered = 0;
+    for (auto& b : blocks) {
+      index.push_back(BlockRef{static_cast<std::uint64_t>(out.tellp()),
+                               b.size(),
+                               fnv1a64(std::span<const std::uint8_t>(b))});
+      out.write(reinterpret_cast<const char*>(b.data()),
+                static_cast<std::streamsize>(b.size()));
+      buffered += b.size();
+      stats.payload_bytes += b.size();
+    }
+    stats.peak_buffered_bytes = std::max(stats.peak_buffered_bytes, buffered);
+    if (!out) throw RuntimeError("error writing: " + path);
+    wave_begin = wave_end;
+  }
+  return stats;
+}
+
 // ---------------------------------------------------------------- writer
 
 SeriesWriter::SeriesWriter(const std::string& path, const StoreOptions& opts)
@@ -206,11 +271,10 @@ void SeriesWriter::append(const field::Snapshot& snap) {
     }
   }
 
-  // Stream in waves (write_blocks_in_waves, shared with the SKL2 v2
-  // writer): encode a raw-size-bounded run of blocks in parallel, flush
-  // it, drop it. Peak writer memory is one wave of encoded blocks
-  // (<= budget + the codec's worst-case expansion) plus codec scratch —
-  // never the snapshot, never the series.
+  // Stream in waves (write_blocks_in_waves): encode a raw-size-bounded
+  // run of blocks in parallel, flush it, drop it. Peak writer memory is
+  // one wave of encoded blocks (<= budget + the codec's worst-case
+  // expansion) plus codec scratch — never the snapshot, never the series.
   const WaveWriteStats stats =
       write_blocks_in_waves(snap, *layout_, names_, *codec_, opts_.pool,
                             opts_.write_budget_bytes, out_, path_, index_);
@@ -343,8 +407,8 @@ SeriesReader::SeriesReader(const std::string& path,
   names_.reserve(nfields);
   for (std::uint64_t i = 0; i < nfields; ++i) {
     const auto len = head.read<std::uint32_t>();
-    // Same corruption guard as SKL2: a bogus length must not trigger a
-    // huge allocation. (The cursor itself only grows to the file size.)
+    // Corruption guard: a bogus length must not trigger a huge
+    // allocation. (The cursor itself only grows to the file size.)
     SICKLE_CHECK_MSG(len < (1u << 20), "implausible name length in SKL3");
     std::string name = head.read_string(len);
     field_index_[name] = i;
@@ -612,8 +676,9 @@ void SeriesSnapshotView::gather(const std::string& var,
                    "unknown field: " + var);
   const std::size_t f = it->second;
   const ChunkLayout& layout = reader_->layout_;
-  // Same hot-path memoization as ChunkReader::gather: runs of indices
-  // within one chunk skip the cache lookup entirely.
+  // Gather requests are runs of indices within one chunk (cube point
+  // sets, full-field scans); memoizing the last chunk skips the cache
+  // lookup and LRU bookkeeping on the hot path.
   std::size_t last_chunk = layout.count();
   std::shared_ptr<const std::vector<double>> values;
   for (std::size_t i = 0; i < idx.size(); ++i) {

@@ -1,12 +1,13 @@
 /// @file series_store.hpp
-/// @brief SKL3 multi-snapshot series container: streaming writer and a
-/// SeriesSource reader with per-snapshot FieldSource views.
+/// @brief SKL3 chunked compressed series container: streaming writer and
+/// a SeriesSource reader with per-snapshot FieldSource views.
 ///
-/// SKL2 (snapshot_store.hpp) stores one snapshot per file, so a T-step
-/// time series pays T headers and T chunk indexes and every consumer must
-/// juggle T paths. SKL3 puts the time axis into the chunk key: one
-/// header, one index, blocks addressed by (snapshot, field, chunk). The
-/// writer is *streaming* — encoded blocks are flushed to disk in waves
+/// SKL3 splits every field of every snapshot into fixed-size 3D chunks,
+/// encodes each chunk independently with a pluggable codec (codec.hpp),
+/// and addresses blocks by (snapshot, field, chunk) through one header and
+/// one index for the whole series, so readers fetch only the blocks a
+/// query touches and a single snapshot is simply a one-snapshot series.
+/// The writer is *streaming* — encoded blocks are flushed to disk in waves
 /// bounded by StoreOptions::write_budget_bytes as snapshots are appended,
 /// and the index is written and patched into the header only on close(),
 /// so writer memory stays O(budget + codec scratch + index) no matter how
@@ -40,9 +41,72 @@
 #include "store/block_cache.hpp"
 #include "store/chunk_layout.hpp"
 #include "store/codec.hpp"
-#include "store/snapshot_store.hpp"
 
 namespace sickle::store {
+
+/// Writer-side knobs; also carried by sickle::CaseConfig for the config
+/// driven "series" backend.
+struct StoreOptions {
+  field::GridShape chunk{32, 32, 32};  ///< nominal chunk edge lengths
+  std::string codec = "delta";         ///< "raw" | "delta" | "quant"
+  double tolerance = 1e-6;             ///< quant max abs error
+  std::size_t cache_bytes = 64ull << 20;  ///< reader block-cache capacity
+  /// Reader-side async readahead depth (SeriesReader): decode the next N
+  /// blocks of a stream on the pool while the current one is consumed.
+  /// 0 = off. Values are bit-identical either way; only decode timing
+  /// changes.
+  std::size_t prefetch_depth = 0;
+  ThreadPool* pool = nullptr;          ///< encode pool; nullptr = global()
+  /// Streaming-writer budget: encoded blocks are flushed to disk in waves
+  /// whose raw input stays under this bound, so writer memory is
+  /// O(budget + codec scratch) instead of O(snapshot).
+  std::size_t write_budget_bytes = 8ull << 20;
+  /// Container format version to write; 0 = latest. Compat/testing knob:
+  /// 1 = no summary blocks or index checksum, 2 = no per-block payload
+  /// checksums, 3 = no index-resident histograms. Readers accept every
+  /// version they know.
+  std::uint32_t format_version = 0;
+  /// Reader-side: decode into this externally owned BlockCache instead of
+  /// a per-reader one (keys are salted with a per-file hash so readers of
+  /// different containers can share it). nullptr = each reader owns a
+  /// private cache of `cache_bytes`. The cache must outlive every reader
+  /// using it — CaseSession points this at its process-global session
+  /// cache.
+  BlockCache* shared_cache = nullptr;
+};
+
+/// One encoded block's location inside a container file — one entry of
+/// the trailing index. `checksum` (FNV-1a of the encoded payload bytes) is
+/// serialized by format v3+ and verified before every decode, so a flipped
+/// payload bit fails loudly instead of decoding to silently wrong values.
+struct BlockRef {
+  std::uint64_t offset = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t checksum = 0;
+};
+
+/// What one wave-streamed snapshot write did (summed into the writer's
+/// report).
+struct WaveWriteStats {
+  std::size_t payload_bytes = 0;
+  std::size_t peak_buffered_bytes = 0;
+  double encode_seconds = 0.0;  ///< chunk extraction + encode only, no I/O
+};
+
+/// The streaming scheme behind SeriesWriter::append: encode one
+/// snapshot's (field, chunk) blocks in parallel waves whose raw input
+/// stays under `budget_bytes` (floored at one chunk), flush each wave to
+/// `out`, and append a BlockRef per block to `index`. Peak writer memory
+/// is one wave of encoded blocks — never the snapshot. Throws
+/// RuntimeError on I/O failure.
+WaveWriteStats write_blocks_in_waves(const field::Snapshot& snap,
+                                     const ChunkLayout& layout,
+                                     const std::vector<std::string>& names,
+                                     const Codec& codec, ThreadPool* pool,
+                                     std::size_t budget_bytes,
+                                     std::ofstream& out,
+                                     const std::string& path,
+                                     std::vector<BlockRef>& index);
 
 /// How a SeriesReader caches and prefetches decoded blocks.
 struct ReaderOptions {
@@ -75,7 +139,7 @@ struct SeriesWriteReport {
   std::size_t chunks = 0;         ///< blocks written
   std::size_t snapshots = 0;      ///< appended snapshot count
   /// Header + per-series chunk index bytes — the fixed cost one SKL3
-  /// container amortizes over the whole series (vs one per SKL2 file).
+  /// container amortizes over the whole series.
   std::size_t meta_bytes = 0;
   /// High-water mark of encoded blocks buffered in memory at any point —
   /// the streaming guarantee: bounded by write_budget_bytes (plus one
@@ -175,8 +239,9 @@ class SeriesSnapshotView final : public field::FieldSource {
 /// in-memory Dataset. All views share one sharded byte-bounded LRU block
 /// cache (store::BlockCache) and one pread(2) descriptor, so the whole
 /// series streams in O(cache) memory and any number of threads may
-/// gather from any mix of snapshots concurrently — the same contract as
-/// ChunkReader, now with a time axis.
+/// gather from any mix of snapshots concurrently (file reads use
+/// pread(2), which carries no shared seek state). Construction and
+/// destruction are not concurrent-safe with use, as usual.
 class SeriesReader final : public field::SeriesSource {
  public:
   explicit SeriesReader(const std::string& path,
@@ -277,11 +342,6 @@ class SeriesReader final : public field::SeriesSource {
 
  private:
   friend class SeriesSnapshotView;
-  struct BlockRef {
-    std::uint64_t offset = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t checksum = 0;
-  };
 
   /// Read + decode one block by flat index key (no cache interaction).
   [[nodiscard]] BlockCache::Block load_block(std::uint64_t key) const;

@@ -58,8 +58,8 @@ TEST(DatasetZoo, ProducerBundleMirrorsMaterializedBundle) {
 }
 
 TEST(Case, ProducerOverloadMaterializeMatchesDatasetOverload) {
-  // ingest: materialize (the default) through the producer overload must
-  // be byte-for-byte the legacy path.
+  // The memory backend materializes a producer; the DatasetBundle
+  // overload borrows its Dataset. Both must sample and train identically.
   CaseConfig cfg;
   cfg.pipeline.cube = {8, 8, 8};
   cfg.pipeline.hypercube_method = "random";
@@ -80,7 +80,7 @@ TEST(Case, ProducerOverloadMaterializeMatchesDatasetOverload) {
   EXPECT_EQ(via_producer.sampled_points, direct.sampled_points);
   EXPECT_EQ(via_producer.train.test_loss, direct.train.test_loss);
 
-  cfg.ingest = "teleport";
+  cfg.backend = "teleport";
   ProducerBundle bad = make_dataset_producer("SST-P1F4", 3, 0.5);
   EXPECT_THROW((void)run_case(bad, cfg), CheckError);
 }

@@ -6,8 +6,8 @@
 //    contract is "no crash, no overallocation": decode must either throw
 //    a typed sickle error or return exactly `count` values.
 //
-//  * Container level (SKL2 v3 and SKL3 v3): the same mutations over the
-//    payload + index regions of real store files. Here the format DOES
+//  * Container level (SKL3): the same mutations over the payload + index
+//    regions of real store files. Here the format DOES
 //    carry integrity metadata (FNV-1a index checksum since v2, per-block
 //    payload checksums since v3), so the contract tightens to "bit-exact
 //    or typed error" — silent wrong data is a failure.
@@ -30,7 +30,6 @@
 #include "field/field.hpp"
 #include "store/codec.hpp"
 #include "store/series_store.hpp"
-#include "store/snapshot_store.hpp"
 
 namespace sickle::store {
 namespace {
@@ -157,7 +156,7 @@ TEST(CodecFuzz, SplicedAndMiscountedBlocksNeverCrash) {
 }
 
 // ---------------------------------------------------------------------------
-// Container-level fuzzing: real SKL2/SKL3 v3 files.
+// Container-level fuzzing: real SKL3 files.
 // ---------------------------------------------------------------------------
 
 class ContainerFuzz : public ::testing::Test {
@@ -208,96 +207,23 @@ class ContainerFuzz : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-/// Sweep single-bit flips over [begin, end) of an SKL2 file. Every
-/// mutation must either fail with a typed error (open or chunk access) or
-/// leave every decoded value bit-identical — v3's per-block checksums are
-/// what make that promise over the payload region.
-TEST_F(ContainerFuzz, Skl2BitFlipSweepIsExactOrTypedError) {
-  const auto snap = make_snapshot(0.0);
-  StoreOptions opts;
-  opts.chunk = {4, 4, 4};
-  opts.codec = "gorilla";
-  write_store(snap, path("base.skl2"), opts);
-  const auto clean = slurp(path("base.skl2"));
-
-  // Baseline decode for bit-exact comparison.
-  std::vector<std::vector<double>> ref;
-  {
-    ChunkReader reader(path("base.skl2"));
-    ASSERT_EQ(reader.format_version(), 3u);
-    for (const auto& name : reader.variables()) {
-      ref.push_back(reader.load_field(name));
-    }
-  }
-
-  // A locally-written header with these small shapes is under 200 bytes;
-  // start a little before that so the sweep provably straddles the
-  // header/payload boundary, then walk payload + index + footer. The
-  // flipped bit rotates with the offset so control and data bits both get
-  // hit across the loop.
-  const std::size_t begin = clean.size() > 160 ? 120 : 0;
-  std::size_t silent = 0;
-  for (std::size_t off = begin; off < clean.size(); ++off) {
-    auto mut = clean;
-    mut[off] ^= static_cast<std::uint8_t>(1u << (off % 8));
-    spit(path("mut.skl2"), mut);
-    try {
-      ChunkReader reader(path("mut.skl2"));
-      const auto names = reader.variables();
-      ASSERT_EQ(names.size(), ref.size()) << "flip@" << off;
-      for (std::size_t i = 0; i < names.size(); ++i) {
-        const auto got = reader.load_field(names[i]);
-        if (!bit_equal(ref[i], got)) {
-          ++silent;
-          ADD_FAILURE() << "silent corruption: flip@" << off << " field "
-                        << names[i];
-        }
-      }
-    } catch (const RuntimeError&) {
-    } catch (const CheckError&) {
-    }
-    if (silent > 3) break;  // don't drown the log once it's broken
-  }
-}
-
-TEST_F(ContainerFuzz, Skl2TruncationSweepIsTypedError) {
-  const auto snap = make_snapshot(0.0);
-  StoreOptions opts;
-  opts.chunk = {4, 4, 4};
-  opts.codec = "delta";
-  write_store(snap, path("base.skl2"), opts);
-  const auto clean = slurp(path("base.skl2"));
-
-  // Any shortening removes index/footer bytes, so open (or the first
-  // chunk access) must raise a typed error — never garbage data.
-  const std::size_t step = std::max<std::size_t>(1, clean.size() / 97);
-  for (std::size_t len = 0; len < clean.size(); len += step) {
-    std::vector<std::uint8_t> mut(
-        clean.begin(), clean.begin() + static_cast<std::ptrdiff_t>(len));
-    spit(path("mut.skl2"), mut);
-    try {
-      ChunkReader reader(path("mut.skl2"));
-      for (const auto& name : reader.variables()) {
-        (void)reader.load_field(name);
-      }
-      ADD_FAILURE() << "truncation to " << len << " bytes was accepted";
-    } catch (const RuntimeError&) {
-    } catch (const CheckError&) {
-    }
-  }
-}
-
-TEST_F(ContainerFuzz, Skl2PayloadSpliceFailsChecksum) {
-  // Two stores with different values: graft a block-sized slice of one
-  // payload into the other. The index checksum still matches (the index
-  // is untouched), so only v3's per-block payload checksums can catch it.
+TEST_F(ContainerFuzz, Skl3PayloadSpliceFailsChecksum) {
+  // Two one-snapshot stores with different values: graft a block-sized
+  // slice of one payload into the other. The index checksum still matches
+  // (the index is untouched), so only v3+'s per-block payload checksums
+  // can catch it.
   StoreOptions opts;
   opts.chunk = {4, 4, 4};
   opts.codec = "raw";
-  write_store(make_snapshot(0.0), path("a.skl2"), opts);
-  write_store(make_snapshot(5.0), path("b.skl2"), opts);
-  const auto a = slurp(path("a.skl2"));
-  const auto b = slurp(path("b.skl2"));
+  const auto write_one = [&](const std::string& name, double t) {
+    SeriesWriter writer(path(name), opts);
+    writer.append(make_snapshot(t));
+    writer.close();
+  };
+  write_one("a.skl3", 0.0);
+  write_one("b.skl3", 5.0);
+  const auto a = slurp(path("a.skl3"));
+  const auto b = slurp(path("b.skl3"));
   ASSERT_EQ(a.size(), b.size());
 
   // Identical headers, differing payloads: the first differing byte marks
@@ -308,8 +234,9 @@ TEST_F(ContainerFuzz, Skl2PayloadSpliceFailsChecksum) {
 
   std::vector<double> ref;
   {
-    ChunkReader reader(path("a.skl2"));
-    ref = reader.load_field("u");
+    const auto snap = SeriesReader(path("a.skl3")).load_snapshot(0);
+    const auto u = snap.get("u").data();
+    ref.assign(u.begin(), u.end());
   }
 
   for (const std::size_t shift : {std::size_t{16}, std::size_t{64},
@@ -318,11 +245,12 @@ TEST_F(ContainerFuzz, Skl2PayloadSpliceFailsChecksum) {
     const std::size_t n =
         std::min<std::size_t>(128, mut.size() - payload - shift);
     std::memcpy(mut.data() + payload, b.data() + payload + shift, n);
-    spit(path("mut.skl2"), mut);
+    spit(path("mut.skl3"), mut);
     try {
-      ChunkReader reader(path("mut.skl2"));
-      const auto got = reader.load_field("u");
-      EXPECT_TRUE(bit_equal(ref, got)) << "splice shift " << shift;
+      SeriesReader reader(path("mut.skl3"));
+      const auto snap = reader.load_snapshot(0);
+      EXPECT_TRUE(bit_equal(ref, snap.get("u").data()))
+          << "splice shift " << shift;
     } catch (const RuntimeError&) {
     } catch (const CheckError&) {
     }

@@ -115,7 +115,7 @@ TEST(ConfigDriver, StoreMapping) {
 shared:
   dataset: SST-P1F4
 store:
-  backend: skl2
+  backend: series
   codec: quant
   tolerance: 1e-3
   chunk: 16
@@ -123,7 +123,7 @@ store:
   cache_mb: 8
 )");
   const auto cc = case_from_config(cfg);
-  EXPECT_EQ(cc.backend, "skl2");
+  EXPECT_EQ(cc.backend, "series");
   EXPECT_EQ(cc.store.codec, "quant");
   EXPECT_DOUBLE_EQ(cc.store.tolerance, 1e-3);
   EXPECT_EQ(cc.store.chunk.nx, 16u);
@@ -180,9 +180,14 @@ TEST(ConfigDriver, StoreDefaultsAndErrors) {
   EXPECT_EQ(defaults.store.codec, "delta");
   EXPECT_EQ(defaults.store.chunk.nx, 32u);
 
-  EXPECT_THROW(case_from_config(Config::parse(
-                   "store:\n  backend: s3\n")),
-               RuntimeError);
+  try {
+    (void)case_from_config(Config::parse("store:\n  backend: s3\n"));
+    FAIL() << "unknown backend accepted";
+  } catch (const ConfigError& e) {
+    ASSERT_EQ(e.issues().size(), 1u) << e.what();
+    EXPECT_EQ(e.issues()[0].field, "store.backend");
+    EXPECT_EQ(e.issues()[0].hint, "memory | series");
+  }
   EXPECT_THROW(case_from_config(Config::parse(
                    "store:\n  codec: lz77\n")),
                RuntimeError);
@@ -209,19 +214,16 @@ store:
   backend: series
   ingest: Streaming
 )");
-  EXPECT_EQ(case_from_config(cfg).ingest, "streaming");
+  // store.ingest is no longer read: configs that still set it parse, and
+  // the backend alone decides how the series is ingested.
+  EXPECT_EQ(case_from_config(cfg).backend, "series");
   EXPECT_DOUBLE_EQ(dataset_scale_from_config(cfg), 0.5);
+  EXPECT_NO_THROW((void)case_from_config(Config::parse(
+      "store:\n  backend: memory\n  ingest: materialize\n")));
 
-  const auto defaults =
-      case_from_config(Config::parse("shared:\n  dataset: OF2D\n"));
-  EXPECT_EQ(defaults.ingest, "materialize");
   EXPECT_DOUBLE_EQ(
       dataset_scale_from_config(Config::parse("shared:\n  dataset: OF2D\n")),
       1.0);
-
-  EXPECT_THROW(case_from_config(Config::parse(
-                   "store:\n  ingest: teleport\n")),
-               RuntimeError);
   EXPECT_THROW((void)dataset_scale_from_config(Config::parse(
                    "shared:\n  scale: 0\n")),
                RuntimeError);
@@ -272,21 +274,20 @@ TEST(ConfigDriver, ValidateIsEmptyForGoodConfig) {
 TEST(ConfigDriver, ValidateCollectsEveryIssueAtOnce) {
   CaseConfig cc;
   cc.backend = "floppy";
-  cc.ingest = "teleport";
   cc.arch = "Perceptron9000";
   cc.window = 0;
   cc.store.codec = "middle-out";
   cc.train.lr = 0.0;
   cc.train.test_fraction = 1.5;
   const auto issues = cc.validate();
-  EXPECT_GE(issues.size(), 7u);
+  EXPECT_GE(issues.size(), 6u);
   std::vector<std::string> fields;
   for (const auto& issue : issues) {
     fields.push_back(issue.field);
     EXPECT_FALSE(issue.message.empty()) << issue.field;
   }
   for (const char* field :
-       {"store.backend", "store.ingest", "train.arch", "train.window",
+       {"store.backend", "train.arch", "train.window",
         "store.codec", "train.lr", "train.test_frac"}) {
     EXPECT_NE(std::find(fields.begin(), fields.end(), field), fields.end())
         << field;

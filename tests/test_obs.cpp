@@ -19,7 +19,7 @@
 #include "parallel/thread_pool.hpp"
 #include "sickle/case.hpp"
 #include "sickle/dataset_zoo.hpp"
-#include "store/snapshot_store.hpp"
+#include "store/series_store.hpp"
 
 namespace sickle {
 namespace {
@@ -34,7 +34,7 @@ void reset_obs() {
   obs::MetricsRegistry::global().reset();
 }
 
-CaseConfig tiny_case(const std::string& backend, const std::string& ingest) {
+CaseConfig tiny_case(const std::string& backend) {
   CaseConfig cfg;
   cfg.pipeline.cube = {8, 8, 8};
   cfg.pipeline.hypercube_method = "random";
@@ -49,16 +49,12 @@ CaseConfig tiny_case(const std::string& backend, const std::string& ingest) {
   cfg.model_dim = 16;
   cfg.model_heads = 2;
   cfg.backend = backend;
-  cfg.ingest = ingest;
   cfg.store.chunk = {16, 16, 16};
   cfg.store.codec = "delta";
   return cfg;
 }
 
-CaseReport run_tiny(const std::string& backend, const std::string& ingest,
-                    CaseConfig cfg) {
-  (void)backend;
-  (void)ingest;
+CaseReport run_tiny(const CaseConfig& cfg) {
   ProducerBundle bundle = make_dataset_producer("SST-P1F4", 3, 0.5);
   return run_case(bundle, cfg);
 }
@@ -273,10 +269,10 @@ TEST(Trace, ChromeExportRoundTripsThroughTraceCheck) {
 TEST(Case, StageSpansCoverOrchestratorAndStore) {
   reset_obs();
   obs::set_enabled(true);
-  auto cfg = tiny_case("series", "streaming");
+  auto cfg = tiny_case("series");
   cfg.temporal.num_snapshots = 2;
   cfg.pipeline.threads = 2;  // dedicated pool => pool.task spans
-  const auto report = run_tiny("series", "streaming", cfg);
+  const auto report = run_tiny(cfg);
   obs::set_enabled(false);
   EXPECT_GT(report.sampled_points, 0u);
 
@@ -313,17 +309,16 @@ TEST(Case, MetricsBitStableAcrossRunsAndBackends) {
     }
     return out;
   };
-  auto cfg = tiny_case("series", "streaming");
-  const auto a = run_tiny("series", "streaming", cfg);
-  const auto b = run_tiny("series", "streaming", cfg);
+  const auto cfg = tiny_case("series");
+  const auto a = run_tiny(cfg);
+  const auto b = run_tiny(cfg);
   EXPECT_FALSE(a.metrics.empty());
   EXPECT_EQ(strip_seconds(a.metrics), strip_seconds(b.metrics));
   EXPECT_EQ(a.metrics.at("case.sampled_points"),
             static_cast<double>(a.sampled_points));
   EXPECT_GT(a.metrics.at("store.io_bytes_read"), 0.0);
 
-  const auto mem = run_tiny("memory", "materialize",
-                            tiny_case("memory", "materialize"));
+  const auto mem = run_tiny(tiny_case("memory"));
   EXPECT_EQ(mem.sample_hash, a.sample_hash);
   EXPECT_EQ(mem.metrics.at("case.sampled_points"),
             a.metrics.at("case.sampled_points"));
@@ -334,29 +329,33 @@ TEST(Case, CachePressureSurfacesEvictionsAndIoBytes) {
   // Small chunks + a cache holding ~2 blocks: the sampling pass must
   // observe evictions, and both tallies must surface in the report.
   reset_obs();
-  auto cfg = tiny_case("series", "streaming");
+  auto cfg = tiny_case("series");
   cfg.store.chunk = {8, 8, 8};
   cfg.store.cache_bytes = 8u << 10;
-  const auto report = run_tiny("series", "streaming", cfg);
+  const auto report = run_tiny(cfg);
   EXPECT_GT(report.metrics.at("store.cache_misses"), 0.0);
   EXPECT_GT(report.metrics.at("store.cache_evictions"), 0.0);
   EXPECT_GT(report.metrics.at("store.io_bytes_read"), 0.0);
 }
 
 TEST(Store, ReaderExposesCacheStatsAndIoBytes) {
-  // The satellite accessors: ChunkReader::io_bytes_read() plus
+  // The reader accessors: SeriesReader::io_bytes_read() plus
   // cache_stats() evictions under pressure, without the case runner.
   const auto bundle = make_dataset("SST-P1F4", 3, 0.5);
   const auto dir = fs::temp_directory_path() / "sickle_obs_reader";
   fs::create_directories(dir);
-  const std::string path = (dir / "snap.skl2").string();
+  const std::string path = (dir / "snap.skl3").string();
   store::StoreOptions opts;
   opts.chunk = {8, 8, 8};
   opts.codec = "delta";
-  (void)store::write_store(bundle.data.snapshot(0), path, opts);
+  {
+    store::SeriesWriter writer(path, opts);
+    writer.append(bundle.data.snapshot(0));
+    (void)writer.close();
+  }
 
-  const store::ChunkReader reader(path, /*cache_bytes=*/8u << 10);
-  const auto round_trip = reader.load_snapshot();
+  const store::SeriesReader reader(path, /*cache_bytes=*/8u << 10);
+  const auto round_trip = reader.load_snapshot(0);
   EXPECT_EQ(round_trip.names(), bundle.data.snapshot(0).names());
   const auto stats = reader.cache_stats();
   EXPECT_GT(stats.misses, 0u);

@@ -16,12 +16,12 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "io/snapshot_io.hpp"
 #include "stats/histogram.hpp"
 #include "sampling/pipeline.hpp"
 #include "sampling/temporal.hpp"
 #include "sickle/case.hpp"
 #include "store/series_store.hpp"
-#include "store/snapshot_store.hpp"
 
 namespace sickle::store {
 namespace {
@@ -214,10 +214,10 @@ TEST_F(SeriesStoreTest, TruncatedAndCorruptFilesAreRejected) {
     f << "NOTSKL3DATA";
   }
   EXPECT_THROW(SeriesReader(path("bad.skl3")), RuntimeError);
-  // An SKL2 file is not an SKL3 series.
+  // A flat SKL1 snapshot file is not an SKL3 series.
   const auto ds = make_series(1);
-  write_store(ds.snapshot(0), path("snap.skl2"), {});
-  EXPECT_THROW(SeriesReader(path("snap.skl2")), RuntimeError);
+  io::save_snapshot(ds.snapshot(0), path("snap.skl"));
+  EXPECT_THROW(SeriesReader(path("snap.skl")), RuntimeError);
 
   // A sealed series truncated mid-payload: the index (at the tail) is
   // gone, so the reader reports a truncation instead of short reads.
@@ -455,12 +455,6 @@ TEST_F(SeriesStoreTest, CaseRunnerTemporalStageIsBackendInvariant) {
   EXPECT_EQ(series_report.selected_snapshots,
             memory_report.selected_snapshots);
   EXPECT_EQ(series_report.sampled_points, memory_report.sampled_points);
-
-  cc.backend = "skl2";
-  const auto skl2_report = run_case(bundle, cc);
-  EXPECT_EQ(skl2_report.selected_snapshots,
-            memory_report.selected_snapshots);
-  EXPECT_EQ(skl2_report.sampled_points, memory_report.sampled_points);
 }
 
 /// Spill lifecycle on failure: the spilled store is kept (for inspection)
@@ -854,9 +848,9 @@ TEST_F(SeriesStoreTest, TruncationIntoIndexIsRejected) {
 
 // ------------------------------------------------ generator-driven ingest
 
-/// The tentpole acceptance test: with ingest: streaming the case runner
-/// never materializes a Dataset — peak ingest memory is one snapshot plus
-/// the write budget (plus codec wave slack) — while sample sets and
+/// The streaming-ingest acceptance test: with the series backend the case
+/// runner never materializes a Dataset — peak ingest memory is one snapshot
+/// plus the write budget (plus codec wave slack) — while sample sets and
 /// training losses stay bit-identical to the fully materialized memory
 /// backend.
 TEST_F(SeriesStoreTest, StreamingIngestBoundsMemoryAndMatchesMemoryBackend) {
@@ -867,7 +861,6 @@ TEST_F(SeriesStoreTest, StreamingIngestBoundsMemoryAndMatchesMemoryBackend) {
   EXPECT_EQ(memory_report.ingest_peak_bytes, 0u);  // materialized
 
   cc.backend = "series";
-  cc.ingest = "streaming";
   cc.store.chunk = {16, 16, 16};
   cc.store.codec = "delta";
   cc.store.write_budget_bytes = 1u << 20;
@@ -890,72 +883,17 @@ TEST_F(SeriesStoreTest, StreamingIngestBoundsMemoryAndMatchesMemoryBackend) {
   EXPECT_LE(streamed_report.ingest_peak_bytes,
             snapshot_bytes + 2 * cc.store.write_budget_bytes);
   EXPECT_GT(streamed_report.store_bytes, 0u);
+  // Disk high-water mark: the whole sealed series, none for memory.
+  EXPECT_EQ(streamed_report.ingest_peak_disk_bytes,
+            streamed_report.store_bytes);
+  EXPECT_EQ(streamed_report.metrics.at("case.ingest_peak_disk_bytes"),
+            static_cast<double>(streamed_report.store_bytes));
+  EXPECT_EQ(memory_report.ingest_peak_disk_bytes, 0u);
   EXPECT_TRUE(std::filesystem::is_empty(dir_ / "stream_spill"));
 }
 
-/// Streaming ingest through per-snapshot SKL2 files: same contract, one
-/// container per snapshot instead of one series.
-TEST_F(SeriesStoreTest, StreamingSkl2IngestMatchesMemoryBackend) {
-  CaseConfig cc = tiny_case();
-  const auto memory_report =
-      run_case(make_dataset("SST-P1F4", 4, 0.5), cc);
-
-  cc.backend = "skl2";
-  cc.ingest = "streaming";
-  cc.store.codec = "raw";
-  cc.store.write_budget_bytes = 1u << 20;
-  cc.spill_dir = (dir_ / "skl2_spill").string();
-  ProducerBundle bundle = make_dataset_producer("SST-P1F4", 4, 0.5);
-  const auto streamed_report = run_case(bundle, cc);
-
-  EXPECT_EQ(streamed_report.sample_hash, memory_report.sample_hash);
-  EXPECT_EQ(streamed_report.train.test_loss, memory_report.train.test_loss);
-  EXPECT_GT(streamed_report.ingest_peak_bytes, 0u);
-  EXPECT_TRUE(std::filesystem::is_empty(dir_ / "skl2_spill"));
-}
-
-/// Fused rolling-window skl2 (streaming ingest, temporal stage off): each
-/// spill file is written, sampled, and deleted before the next snapshot
-/// is produced, so the disk high-water mark is ONE snapshot file — not
-/// the whole spilled series — while samples and training stay
-/// bit-identical to the fully materialized memory backend.
-TEST_F(SeriesStoreTest, FusedStreamingSkl2BoundsDiskToOneSnapshotFile) {
-  CaseConfig cc = tiny_case();
-  const auto memory_report = run_case(make_dataset("SST-P1F4", 4, 0.5), cc);
-  ASSERT_NE(memory_report.sample_hash, 0u);
-  EXPECT_EQ(memory_report.ingest_peak_disk_bytes, 0u);  // never spills
-
-  cc.backend = "skl2";
-  cc.ingest = "streaming";
-  cc.store.codec = "delta";
-  cc.spill_dir = (dir_ / "fused_spill").string();
-  ProducerBundle bundle = make_dataset_producer("SST-P1F4", 4, 0.5);
-  const auto fused = run_case(bundle, cc);
-
-  EXPECT_EQ(fused.sample_hash, memory_report.sample_hash);
-  EXPECT_EQ(fused.sampled_points, memory_report.sampled_points);
-  EXPECT_EQ(fused.train.test_loss, memory_report.train.test_loss);
-  // store_bytes sums every spill ever written; the disk peak is the
-  // largest single file — strictly less with >= 2 snapshots.
-  EXPECT_GT(fused.ingest_peak_disk_bytes, 0u);
-  EXPECT_LT(fused.ingest_peak_disk_bytes, fused.store_bytes);
-  EXPECT_EQ(fused.metrics.at("case.ingest_peak_disk_bytes"),
-            static_cast<double>(fused.ingest_peak_disk_bytes));
-  EXPECT_TRUE(std::filesystem::is_empty(dir_ / "fused_spill"));
-
-  // Temporal selection revisits snapshots, so the same config with the
-  // stage on cannot fuse: every spill file coexists and the disk peak is
-  // the whole spilled store.
-  cc.temporal.num_snapshots = 2;
-  cc.temporal.bins = 32;
-  ProducerBundle revisit = make_dataset_producer("SST-P1F4", 4, 0.5);
-  const auto unfused = run_case(revisit, cc);
-  EXPECT_EQ(unfused.ingest_peak_disk_bytes, unfused.store_bytes);
-  EXPECT_GT(unfused.store_bytes, fused.ingest_peak_disk_bytes);
-}
-
-/// Codec matrix over the streaming series backend: every lossless codec
-/// must reproduce the memory backend's sample hash and training losses
+/// Codec matrix over the series backend: every lossless codec must
+/// reproduce the memory backend's sample hash and training losses
 /// bit-for-bit — the out-of-core path may change how bytes hit disk, never
 /// which samples come back.
 TEST_F(SeriesStoreTest, LosslessCodecsKeepSampleHashAndLossesIdentical) {
@@ -971,7 +909,6 @@ TEST_F(SeriesStoreTest, LosslessCodecsKeepSampleHashAndLossesIdentical) {
   for (const auto& codec : codecs) {
     CaseConfig sc = tiny_case();
     sc.backend = "series";
-    sc.ingest = "streaming";
     sc.store.chunk = {16, 16, 16};
     sc.store.codec = codec;
     sc.store.write_budget_bytes = 1u << 20;

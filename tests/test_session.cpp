@@ -21,15 +21,14 @@
 namespace sickle {
 namespace {
 
-std::string tiny_yaml(std::uint64_t seed, const std::string& backend,
-                      const std::string& ingest) {
+std::string tiny_yaml(std::uint64_t seed, const std::string& backend) {
   std::string y;
   y += "shared:\n  dataset: SST-P1F4\n  scale: 0.25\n";
   y += "  seed: " + std::to_string(seed) + "\n";
   y += "subsample:\n  hypercubes: random\n  method: maxent\n";
   y += "  num_hypercubes: 2\n  num_samples: 17\n  num_clusters: 3\n";
   y += "  nxsl: 8\n  nysl: 8\n  nzsl: 8\n";
-  y += "store:\n  backend: " + backend + "\n  ingest: " + ingest + "\n";
+  y += "store:\n  backend: " + backend + "\n";
   y += "  codec: delta\n  chunk: 16\n  write_budget_mb: 1\n";
   y += "  spill_dir: " +
        (std::filesystem::temp_directory_path() / "sickle_test_session")
@@ -45,9 +44,8 @@ struct TinyCase {
   ProducerBundle bundle;
 };
 
-TinyCase tiny_case(std::uint64_t seed, const std::string& backend = "series",
-                   const std::string& ingest = "streaming") {
-  const Config cfg = Config::parse(tiny_yaml(seed, backend, ingest));
+TinyCase tiny_case(std::uint64_t seed, const std::string& backend = "series") {
+  const Config cfg = Config::parse(tiny_yaml(seed, backend));
   TinyCase t;
   t.cfg = case_from_config(cfg);
   t.bundle = make_dataset_producer(dataset_label_from_config(cfg), seed,
@@ -141,13 +139,15 @@ TEST(Session, ConcurrentCasesBitIdenticalToRunCase) {
 }
 
 TEST(Session, MemoryBackendMatchesToo) {
-  TinyCase serial = tiny_case(7, "memory", "materialize");
+  TinyCase serial = tiny_case(7, "memory");
   const CaseReport want = run_case(serial.bundle, std::move(serial.cfg));
 
   CaseSession session({.max_concurrent_cases = 2});
-  TinyCase t = tiny_case(7, "memory", "materialize");
-  const CaseReport& got =
-      session.submit(std::move(t.bundle), std::move(t.cfg)).wait();
+  TinyCase t = tiny_case(7, "memory");
+  // wait() returns a reference into the case the handle owns: keep the
+  // handle alive while reading it.
+  const CaseHandle h = session.submit(std::move(t.bundle), std::move(t.cfg));
+  const CaseReport& got = h.wait();
   EXPECT_EQ(got.sample_hash, want.sample_hash);
   EXPECT_EQ(got.train.final_train_loss, want.train.final_train_loss);
 }
@@ -244,7 +244,7 @@ TEST(Session, SharedCacheAccumulatesAcrossConcurrentSeriesCases) {
   CaseSession session({.max_concurrent_cases = 2});
   std::vector<CaseHandle> handles;
   for (std::uint64_t seed = 0; seed < 2; ++seed) {
-    TinyCase t = tiny_case(seed, "series", "streaming");
+    TinyCase t = tiny_case(seed, "series");
     handles.push_back(session.submit(std::move(t.bundle), std::move(t.cfg)));
   }
   for (const auto& h : handles) (void)h.wait();

@@ -1,6 +1,6 @@
-// Unit tests: SKL2 chunked compressed snapshot store — codecs, chunk
-// layout, writer/reader round trips, LRU cache behavior, and
-// streaming-vs-in-memory sampling equivalence.
+// Unit tests: chunked compressed store — codecs, chunk layout, and over
+// one-snapshot SKL3 containers: writer/reader round trips, LRU cache
+// behavior, and streaming-vs-in-memory sampling equivalence.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -14,10 +14,9 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "sampling/pipeline.hpp"
-#include "sickle/case.hpp"
 #include "store/chunk_layout.hpp"
 #include "store/codec.hpp"
-#include "store/snapshot_store.hpp"
+#include "store/series_store.hpp"
 
 namespace sickle::store {
 namespace {
@@ -161,6 +160,15 @@ class StoreTest : public ::testing::Test {
     return (dir_ / name).string();
   }
 
+  /// Store `snap` as a one-snapshot SKL3 container.
+  static SeriesWriteReport write_one(const field::Snapshot& snap,
+                                     const std::string& p,
+                                     const StoreOptions& opts = {}) {
+    SeriesWriter writer(p, opts);
+    writer.append(snap);
+    return writer.close();
+  }
+
   /// Snapshot whose grid is deliberately not divisible by the chunk shape.
   [[nodiscard]] static field::Snapshot make_snapshot() {
     field::Snapshot snap({10, 6, 5}, 1.25);
@@ -184,18 +192,19 @@ TEST_F(StoreTest, LosslessRoundTripWithPartialChunks) {
     StoreOptions opts;
     opts.chunk = {4, 4, 4};
     opts.codec = codec;
-    const auto report = write_store(snap, path("s.skl2"), opts);
+    const auto report = write_one(snap, path("s.skl3"), opts);
     EXPECT_EQ(report.chunks, 3u * 12u);
     EXPECT_EQ(report.raw_bytes, snap.bytes());
     EXPECT_EQ(report.file_bytes,
-              std::filesystem::file_size(path("s.skl2")));
+              std::filesystem::file_size(path("s.skl3")));
 
-    const ChunkReader reader(path("s.skl2"));
+    const SeriesReader reader(path("s.skl3"));
+    EXPECT_EQ(reader.num_snapshots(), 1u);
     EXPECT_EQ(reader.shape(), snap.shape());
-    EXPECT_DOUBLE_EQ(reader.time(), 1.25);
+    EXPECT_DOUBLE_EQ(reader.time(0), 1.25);
     EXPECT_EQ(reader.variables(), snap.names());
     EXPECT_EQ(reader.codec_name(), codec);
-    const auto loaded = reader.load_snapshot();
+    const auto loaded = reader.load_snapshot(0);
     for (const auto& name : snap.names()) {
       const auto a = snap.get(name).data();
       const auto b = loaded.get(name).data();
@@ -212,10 +221,10 @@ TEST_F(StoreTest, QuantRoundTripWithinTolerance) {
   opts.chunk = {4, 4, 4};
   opts.codec = "quant";
   opts.tolerance = 1e-4;
-  const auto report = write_store(snap, path("q.skl2"), opts);
+  const auto report = write_one(snap, path("q.skl3"), opts);
   EXPECT_LT(report.file_bytes, report.raw_bytes);
 
-  const auto loaded = ChunkReader(path("q.skl2")).load_snapshot();
+  const auto loaded = SeriesReader(path("q.skl3")).load_snapshot(0);
   for (const auto& name : snap.names()) {
     const auto a = snap.get(name).data();
     const auto b = loaded.get(name).data();
@@ -229,18 +238,19 @@ TEST_F(StoreTest, GatherMatchesSnapshotValues) {
   const auto snap = make_snapshot();
   StoreOptions opts;
   opts.chunk = {4, 4, 4};
-  write_store(snap, path("g.skl2"), opts);
-  const ChunkReader reader(path("g.skl2"));
+  write_one(snap, path("g.skl3"), opts);
+  const SeriesReader reader(path("g.skl3"));
+  const field::FieldSource& src = reader.source(0);
 
   Rng rng(11);
   std::vector<std::size_t> idx(200);
   for (auto& i : idx) i = rng.uniform_int(snap.shape().size());
-  const auto got = reader.gather("v", std::span<const std::size_t>(idx));
+  const auto got = src.gather("v", std::span<const std::size_t>(idx));
   const auto data = snap.get("v").data();
   for (std::size_t i = 0; i < idx.size(); ++i) {
     EXPECT_DOUBLE_EQ(got[i], data[idx[i]]);
   }
-  EXPECT_THROW(reader.gather("nope", std::span<const std::size_t>(idx)),
+  EXPECT_THROW(src.gather("nope", std::span<const std::size_t>(idx)),
                CheckError);
 }
 
@@ -248,25 +258,25 @@ TEST_F(StoreTest, CacheHitsEvictionsAndSharedOwnership) {
   const auto snap = make_snapshot();
   StoreOptions opts;
   opts.chunk = {4, 4, 4};
-  write_store(snap, path("c.skl2"), opts);
+  write_one(snap, path("c.skl3"), opts);
   // Capacity of one 4^3 chunk: every switch to a new chunk evicts.
-  const ChunkReader reader(path("c.skl2"), /*cache_bytes=*/64 * 8);
+  const SeriesReader reader(path("c.skl3"), /*cache_bytes=*/64 * 8);
 
-  const auto first = reader.chunk(0, 0);
+  const auto first = reader.chunk(0, 0, 0);
   auto stats = reader.cache_stats();
   EXPECT_EQ(stats.misses, 1u);
-  (void)reader.chunk(0, 0);
+  (void)reader.chunk(0, 0, 0);
   stats = reader.cache_stats();
   EXPECT_EQ(stats.hits, 1u);
 
-  (void)reader.chunk(0, 1);  // exceeds capacity -> evicts chunk 0
+  (void)reader.chunk(0, 0, 1);  // exceeds capacity -> evicts chunk 0
   stats = reader.cache_stats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_LE(stats.resident_bytes, 64u * 8u);
   // Evicted blocks stay alive for existing holders.
   EXPECT_EQ(first->size(), 64u);
 
-  (void)reader.chunk(0, 0);  // cold again after eviction
+  (void)reader.chunk(0, 0, 0);  // cold again after eviction
   stats = reader.cache_stats();
   EXPECT_EQ(stats.misses, 3u);
 }
@@ -275,18 +285,18 @@ TEST_F(StoreTest, LruKeepsHotChunksResident) {
   const auto snap = make_snapshot();
   StoreOptions opts;
   opts.chunk = {4, 4, 4};
-  write_store(snap, path("l.skl2"), opts);
+  write_one(snap, path("l.skl3"), opts);
   // Room for two full chunks.
-  const ChunkReader reader(path("l.skl2"), /*cache_bytes=*/2 * 64 * 8);
-  (void)reader.chunk(0, 0);
-  (void)reader.chunk(0, 1);
-  (void)reader.chunk(0, 0);  // refresh 0 -> 1 is now LRU
-  (void)reader.chunk(0, 2);  // evicts 1, not 0
-  (void)reader.chunk(0, 0);
+  const SeriesReader reader(path("l.skl3"), /*cache_bytes=*/2 * 64 * 8);
+  (void)reader.chunk(0, 0, 0);
+  (void)reader.chunk(0, 0, 1);
+  (void)reader.chunk(0, 0, 0);  // refresh 0 -> 1 is now LRU
+  (void)reader.chunk(0, 0, 2);  // evicts 1, not 0
+  (void)reader.chunk(0, 0, 0);
   EXPECT_EQ(reader.cache_stats().hits, 2u);
 }
 
-/// v2 trailing-index layout: the writer streams encoded waves under the
+/// Trailing-index layout: the writer streams encoded waves under the
 /// write budget instead of buffering the whole snapshot's blocks.
 TEST_F(StoreTest, TrailingIndexWriterBoundsBufferedBytes) {
   field::Snapshot snap({24, 24, 24}, 0.5);
@@ -300,15 +310,15 @@ TEST_F(StoreTest, TrailingIndexWriterBoundsBufferedBytes) {
   opts.codec = "raw";
   // Budget of two chunks: 54 blocks must flush in many waves.
   opts.write_budget_bytes = 2 * 8 * 8 * 8 * sizeof(double);
-  const auto report = write_store(snap, path("v2.skl2"), opts);
+  const auto report = write_one(snap, path("wave.skl3"), opts);
   EXPECT_GT(report.peak_buffered_bytes, 0u);
   EXPECT_LT(report.peak_buffered_bytes, report.payload_bytes);
   // Raw codec: a wave's encoded bytes ~ its raw bytes (+ tiny framing).
   EXPECT_LE(report.peak_buffered_bytes, 2 * opts.write_budget_bytes);
 
-  // And the container round-trips through the v2 reader path.
-  const ChunkReader reader(path("v2.skl2"));
-  const auto loaded = reader.load_snapshot();
+  // And the container round-trips through the reader.
+  const SeriesReader reader(path("wave.skl3"));
+  const auto loaded = reader.load_snapshot(0);
   for (const char* name : {"a", "b"}) {
     const auto want = snap.get(name).data();
     const auto got = loaded.get(name).data();
@@ -318,19 +328,18 @@ TEST_F(StoreTest, TrailingIndexWriterBoundsBufferedBytes) {
   }
 }
 
-/// Legacy v1 files (index before payload) stay readable after the format
-/// bump, and the legacy writer remains reachable for compat tooling.
+/// Legacy v1 files (no summary block, no checksums) stay writable and
+/// readable after the format bumps; unknown versions are refused.
 TEST_F(StoreTest, LegacyV1LayoutStillRoundTrips) {
   const auto snap = make_snapshot();
   StoreOptions opts;
   opts.chunk = {4, 4, 4};
   opts.format_version = 1;
-  const auto report = write_store(snap, path("v1.skl2"), opts);
-  // v1 buffers every encoded block (that is the defect the v2 layout
-  // fixes), so its peak equals the payload.
-  EXPECT_EQ(report.peak_buffered_bytes, report.payload_bytes);
-  const ChunkReader reader(path("v1.skl2"));
-  const auto loaded = reader.load_snapshot();
+  write_one(snap, path("v1.skl3"), opts);
+  const SeriesReader reader(path("v1.skl3"));
+  EXPECT_EQ(reader.format_version(), 1u);
+  EXPECT_FALSE(reader.has_summaries());
+  const auto loaded = reader.load_snapshot(0);
   for (const auto& name : snap.names()) {
     const auto want = snap.get(name).data();
     const auto got = loaded.get(name).data();
@@ -338,21 +347,21 @@ TEST_F(StoreTest, LegacyV1LayoutStillRoundTrips) {
       ASSERT_EQ(want[i], got[i]);
     }
   }
-  EXPECT_THROW(
-      write_store(snap, path("v9.skl2"), {.format_version = 9}),
-      CheckError);
+  EXPECT_THROW(SeriesWriter(path("v9.skl3"), {.format_version = 9}),
+               CheckError);
 }
 
 TEST_F(StoreTest, V2IndexByteFlipFailsChecksum) {
   const auto snap = make_snapshot();
   StoreOptions opts;
   opts.chunk = {4, 4, 4};
-  write_store(snap, path("flip.skl2"), opts);
+  opts.format_version = 2;
+  write_one(snap, path("flip.skl3"), opts);
   // The v2 index is the trailing section; flip one byte near the tail in
-  // a way that keeps the offsets plausible (low byte of a block size).
-  const auto size = std::filesystem::file_size(path("flip.skl2"));
+  // a way that keeps the offsets plausible (low byte of a block offset).
+  const auto size = std::filesystem::file_size(path("flip.skl3"));
   {
-    std::fstream f(path("flip.skl2"),
+    std::fstream f(path("flip.skl3"),
                    std::ios::binary | std::ios::in | std::ios::out);
     f.seekg(static_cast<std::streamoff>(size - 16));
     char b = 0;
@@ -362,8 +371,8 @@ TEST_F(StoreTest, V2IndexByteFlipFailsChecksum) {
     f.write(&b, 1);
   }
   try {
-    ChunkReader reader(path("flip.skl2"));
-    FAIL() << "flipped SKL2 index byte must be rejected";
+    SeriesReader reader(path("flip.skl3"));
+    FAIL() << "flipped SKL3 index byte must be rejected";
   } catch (const RuntimeError& e) {
     EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos)
         << e.what();
@@ -371,23 +380,22 @@ TEST_F(StoreTest, V2IndexByteFlipFailsChecksum) {
 }
 
 TEST_F(StoreTest, ErrorPaths) {
-  EXPECT_THROW(ChunkReader(path("missing.skl2")), RuntimeError);
+  EXPECT_THROW(SeriesReader(path("missing.skl3")), RuntimeError);
   {
-    std::ofstream f(path("bad.skl2"), std::ios::binary);
-    f << "NOTSKL2DATA";
+    std::ofstream f(path("bad.skl3"), std::ios::binary);
+    f << "NOTSKL3DATA";
   }
-  EXPECT_THROW(ChunkReader(path("bad.skl2")), RuntimeError);
+  EXPECT_THROW(SeriesReader(path("bad.skl3")), RuntimeError);
 
   const auto snap = make_snapshot();
-  write_store(snap, path("trunc.skl2"), {});
-  std::filesystem::resize_file(path("trunc.skl2"), 64);
-  EXPECT_THROW(ChunkReader(path("trunc.skl2")), RuntimeError);
-  EXPECT_THROW(write_store(snap, path("no/such/dir/x.skl2"), {}),
-               RuntimeError);
+  write_one(snap, path("trunc.skl3"));
+  std::filesystem::resize_file(path("trunc.skl3"), 64);
+  EXPECT_THROW(SeriesReader(path("trunc.skl3")), RuntimeError);
+  EXPECT_THROW(SeriesWriter(path("no/such/dir/x.skl3")), RuntimeError);
 }
 
 /// The acceptance-criterion test: hypercube selection + point sampling
-/// driven through a ChunkReader must reproduce the in-memory pipeline.
+/// driven through a store reader must reproduce the in-memory pipeline.
 TEST_F(StoreTest, StreamingPipelineMatchesInMemoryExactly) {
   field::Snapshot snap({16, 16, 16}, 0.0);
   Rng rng(3);
@@ -413,10 +421,11 @@ TEST_F(StoreTest, StreamingPipelineMatchesInMemoryExactly) {
   StoreOptions opts;
   opts.chunk = {8, 8, 8};
   opts.codec = "delta";
-  write_store(snap, path("stream.skl2"), opts);
+  write_one(snap, path("stream.skl3"), opts);
   // A deliberately tiny cache forces continual decode during streaming.
-  const ChunkReader reader(path("stream.skl2"), /*cache_bytes=*/16 << 10);
-  const auto streamed = sampling::run_pipeline_streaming(reader, cfg);
+  const SeriesReader reader(path("stream.skl3"), /*cache_bytes=*/16 << 10);
+  const auto streamed =
+      sampling::run_pipeline_streaming(reader.source(0), cfg);
 
   ASSERT_EQ(streamed.cubes.size(), in_memory.cubes.size());
   for (std::size_t i = 0; i < streamed.cubes.size(); ++i) {
@@ -445,14 +454,15 @@ TEST_F(StoreTest, ConcurrentGathersMatchSnapshotUnderEvictionChurn) {
   StoreOptions opts;
   opts.chunk = {8, 8, 8};
   opts.codec = "delta";
-  write_store(snap, path("mt.skl2"), opts);
+  write_one(snap, path("mt.skl3"), opts);
 
   for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
     // ~3 chunks of budget across all shards: nearly every gather evicts.
-    const ChunkReader reader(path("mt.skl2"),
-                             /*cache_bytes=*/3 * 512 * sizeof(double),
-                             shards);
+    const SeriesReader reader(path("mt.skl3"),
+                              /*cache_bytes=*/3 * 512 * sizeof(double),
+                              shards);
     EXPECT_EQ(reader.shard_count(), shards);
+    const field::FieldSource& src = reader.source(0);
     constexpr std::size_t kThreads = 8;
     constexpr std::size_t kRounds = 64;
     std::vector<std::string> failures(kThreads);
@@ -464,8 +474,7 @@ TEST_F(StoreTest, ConcurrentGathersMatchSnapshotUnderEvictionChurn) {
         for (std::size_t round = 0; round < kRounds; ++round) {
           const char* var = (round + t) % 2 == 0 ? "u" : "v";
           for (auto& i : idx) i = rng.uniform_int(snap.shape().size());
-          const auto got =
-              reader.gather(var, std::span<const std::size_t>(idx));
+          const auto got = src.gather(var, std::span<const std::size_t>(idx));
           const auto& data = snap.get(var).data();
           for (std::size_t i = 0; i < idx.size(); ++i) {
             if (got[i] != data[idx[i]]) {
@@ -493,13 +502,13 @@ TEST_F(StoreTest, ShardedCacheNeverExceedsByteBudget) {
   const auto snap = make_snapshot();
   StoreOptions opts;
   opts.chunk = {4, 4, 4};
-  write_store(snap, path("b.skl2"), opts);
+  write_one(snap, path("b.skl3"), opts);
   // One 4^3 chunk of budget split across 8 shards.
-  const ChunkReader reader(path("b.skl2"), /*cache_bytes=*/64 * 8,
-                           /*shards=*/8);
+  const SeriesReader reader(path("b.skl3"), /*cache_bytes=*/64 * 8,
+                            /*shards=*/8);
   for (std::size_t f = 0; f < reader.num_fields(); ++f) {
     for (std::size_t c = 0; c < reader.layout().count(); ++c) {
-      const auto values = reader.chunk(f, c);
+      const auto values = reader.chunk(0, f, c);
       EXPECT_EQ(values->size(), reader.layout().box(c).points());
       EXPECT_LE(reader.cache_stats().resident_bytes, 64u * 8u);
     }
@@ -508,7 +517,7 @@ TEST_F(StoreTest, ShardedCacheNeverExceedsByteBudget) {
 
 /// The acceptance bit-exactness test: `threads: N` streaming over ONE
 /// shared sharded reader must reproduce the serial in-memory pipeline
-/// bit-for-bit for lossless codecs, for both the memory and skl2 paths.
+/// bit-for-bit for lossless codecs, for both the memory and store paths.
 TEST_F(StoreTest, ParallelStreamingIsBitExactWithSerialInMemory) {
   field::Snapshot snap({16, 16, 16}, 0.0);
   Rng rng(17);
@@ -536,15 +545,15 @@ TEST_F(StoreTest, ParallelStreamingIsBitExactWithSerialInMemory) {
     StoreOptions opts;
     opts.chunk = {8, 8, 8};
     opts.codec = codec;
-    const std::string p = path(std::string("mt_") + codec + ".skl2");
-    write_store(snap, p, opts);
+    const std::string p = path(std::string("mt_") + codec + ".skl3");
+    write_one(snap, p, opts);
     // Small cache + explicit shards: workers contend and evict while they
     // stream.
-    const ChunkReader reader(p, /*cache_bytes=*/16 << 10, /*shards=*/4);
+    const SeriesReader reader(p, /*cache_bytes=*/16 << 10, /*shards=*/4);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       cfg.threads = threads;
       const auto streamed =
-          sampling::run_pipeline_streaming(reader, cfg).merged();
+          sampling::run_pipeline_streaming(reader.source(0), cfg).merged();
       EXPECT_EQ(streamed.indices, serial.indices)
           << codec << " threads=" << threads;
       EXPECT_EQ(streamed.features, serial.features)
@@ -581,47 +590,15 @@ TEST_F(StoreTest, StreamingOverQuantStoreStaysWithinTolerance) {
   StoreOptions opts;
   opts.codec = "quant";
   opts.tolerance = 1e-3;
-  write_store(snap, path("quant.skl2"), opts);
+  write_one(snap, path("quant.skl3"), opts);
+  const SeriesReader reader(path("quant.skl3"));
   const auto streamed =
-      sampling::run_pipeline_streaming(ChunkReader(path("quant.skl2")), cfg)
-          .merged();
+      sampling::run_pipeline_streaming(reader.source(0), cfg).merged();
   ASSERT_EQ(streamed.indices, in_memory.indices);
   ASSERT_EQ(streamed.features.size(), in_memory.features.size());
   for (std::size_t i = 0; i < streamed.features.size(); ++i) {
     EXPECT_NEAR(streamed.features[i], in_memory.features[i], 1e-3);
   }
-}
-
-/// The case runner's skl2 backend (spill + stream per snapshot) must
-/// sample exactly what the in-memory backend does.
-TEST_F(StoreTest, CaseRunnerSkl2BackendMatchesMemoryBackend) {
-  const DatasetBundle bundle = make_dataset("SST-P1F4", 3, 0.5);
-  CaseConfig cc;
-  cc.pipeline.cube = {8, 8, 8};
-  cc.pipeline.hypercube_method = "random";
-  cc.pipeline.point_method = "maxent";
-  cc.pipeline.num_hypercubes = 3;
-  cc.pipeline.num_samples = 51;
-  cc.pipeline.num_clusters = 5;
-  cc.pipeline.seed = 3;
-  cc.arch = "MLP_Transformer";
-  cc.model_dim = 16;
-  cc.model_heads = 2;
-  cc.train.epochs = 2;
-  cc.train.batch = 4;
-
-  const auto memory_report = run_case(bundle, cc);
-  cc.backend = "skl2";
-  cc.store.chunk = {16, 16, 16};
-  cc.store.codec = "delta";
-  const auto store_report = run_case(bundle, cc);
-
-  EXPECT_EQ(store_report.sampled_points, memory_report.sampled_points);
-  EXPECT_GT(store_report.store_bytes, 0u);
-  EXPECT_TRUE(std::isfinite(store_report.train.test_loss));
-
-  cc.backend = "s3";
-  EXPECT_THROW(run_case(bundle, cc), CheckError);
 }
 
 }  // namespace

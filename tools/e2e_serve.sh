@@ -52,7 +52,6 @@ subsample:
 
 store:
   backend: series
-  ingest: streaming
   codec: delta
   chunk: 16
   write_budget_mb: 1

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # End-to-end smoke: run the config-driven case runner on a tiny dataset
-# for every backend (memory | skl2 | series) x ingest mode (materialize |
-# streaming), then for every lossless codec (raw | delta | gorilla, plus
-# zstd when the binary was built with it) on the series/streaming
-# backend, then with reader-side async prefetch on, and verify that the
-# sample-set hash and the test loss are identical across every run — the
-# bit-identity contract the staged orchestrator promises for lossless
-# codecs.
+# with the memory backend, then with the series backend for every
+# lossless codec (raw | delta | gorilla, plus zstd when the binary was
+# built with it) x reader-side async prefetch (off | depth 4), and verify
+# that the sample-set hash and the test loss are identical across every
+# run — the bit-identity contract the staged orchestrator promises for
+# lossless codecs. (The memory backend reads no store, so codec and
+# prefetch do not apply to it; it runs once, as the reference.)
 #
 # Usage: tools/e2e_smoke.sh [path/to/sickle_train]
 # Local repro:  cmake -B build -S . && cmake --build build -j --target sickle_train
@@ -22,11 +22,11 @@ fi
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
 
-# Emit the case config for one (backend, ingest, codec) combination; an
-# optional fifth argument sets the sampling pool width (subsample.threads)
-# and an optional sixth the reader-side readahead (store.prefetch_depth).
+# Emit the case config for one (backend, codec) combination; an optional
+# fourth argument sets the sampling pool width (subsample.threads) and an
+# optional fifth the reader-side readahead (store.prefetch_depth).
 write_cfg() {
-  local cfg=$1 backend=$2 ingest=$3 codec=$4 threads=${5:-1} prefetch=${6:-0}
+  local cfg=$1 backend=$2 codec=$3 threads=${4:-1} prefetch=${5:-0}
   cat > "$cfg" <<EOF
 shared:
   dataset: SST-P1F4
@@ -46,7 +46,6 @@ subsample:
 
 store:
   backend: $backend
-  ingest: $ingest
   codec: $codec
   chunk: 16
   write_budget_mb: 1
@@ -69,10 +68,11 @@ runs=0
 
 # Run one combination and check it against the reference.
 check_combo() {
-  local backend=$1 ingest=$2 codec=$3 prefetch=${4:-0}
-  local cfg="$workdir/case_${backend}_${ingest}_${codec}_p${prefetch}.yaml"
-  write_cfg "$cfg" "$backend" "$ingest" "$codec" 1 "$prefetch"
-  echo "=== backend=$backend ingest=$ingest codec=$codec prefetch=$prefetch"
+  local backend=$1 codec=$2 prefetch=${3:-0}
+  local combo="$backend/$codec/p$prefetch"
+  local cfg="$workdir/case_${backend}_${codec}_p${prefetch}.yaml"
+  write_cfg "$cfg" "$backend" "$codec" 1 "$prefetch"
+  echo "=== backend=$backend codec=$codec prefetch=$prefetch"
   local out
   out=$("$BIN" "$cfg")
   echo "$out" | grep -E "sample set hash|sampled points|Evaluation on test set|ingest peak"
@@ -80,58 +80,49 @@ check_combo() {
   hash=$(echo "$out" | sed -n 's/^sample set hash: //p')
   loss=$(echo "$out" | sed -n 's/^Evaluation on test set: //p')
   if [[ -z "$hash" || -z "$loss" ]]; then
-    echo "error: missing hash/loss in output for $backend/$ingest/$codec" >&2
+    echo "error: missing hash/loss in output for $combo" >&2
     exit 1
   fi
   if [[ -z "$ref_hash" ]]; then
     ref_hash="$hash"
     ref_loss="$loss"
-    ref_combo="$backend/$ingest/$codec"
+    ref_combo="$combo"
   elif [[ "$hash" != "$ref_hash" || "$loss" != "$ref_loss" ]]; then
-    echo "error: $backend/$ingest/$codec diverged from $ref_combo:" >&2
+    echo "error: $combo diverged from $ref_combo:" >&2
     echo "  hash $hash vs $ref_hash, loss $loss vs $ref_loss" >&2
     exit 1
   fi
   runs=$((runs + 1))
 }
 
-for backend in memory skl2 series; do
-  for ingest in materialize streaming; do
-    check_combo "$backend" "$ingest" delta
-  done
-done
+check_combo memory delta
 
-# Codec sweep on the most demanding path (series container + streaming
-# ingest): every lossless codec must leave the sample hash and training
-# losses bit-identical. zstd is probed — a build without it rejects the
-# config with a typed error, which the sweep reports as a skip.
-for codec in raw gorilla zstd; do
+# Series backend: every lossless codec x readahead must leave the sample
+# hash and training losses bit-identical. Readahead (store.prefetch_depth)
+# may change WHEN blocks are decoded, never what they decode to. zstd is
+# probed — a build without it rejects the config with a typed error,
+# which the sweep reports as a skip.
+for codec in delta raw gorilla zstd; do
   if [[ "$codec" == zstd ]]; then
     cfg="$workdir/probe_zstd.yaml"
-    write_cfg "$cfg" series streaming zstd
+    write_cfg "$cfg" series zstd
     if ! "$BIN" "$cfg" > /dev/null 2>&1; then
       echo "=== codec=zstd skipped (binary built without zstd support)"
       continue
     fi
   fi
-  check_combo series streaming "$codec"
+  for prefetch in 0 4; do
+    check_combo series "$codec" "$prefetch"
+  done
 done
 
-# Readahead sweep: reader-side async block prefetch (store.prefetch_depth)
-# may change WHEN blocks are decoded, never what they decode to — both
-# series ingest modes with depth-4 readahead must reproduce the
-# prefetch-off reference hash and loss bit-for-bit.
-for ingest in materialize streaming; do
-  check_combo series "$ingest" delta 4
-done
-
-# Traced combo: one series/streaming run with the observability section
+# Traced combo: one series run with the observability section
 # set, temporal selection on, and a 2-worker sampling pool, so the trace
 # carries all four orchestrator stage spans plus store/codec/pool events.
 # The emitted Chrome trace is validated structurally by trace_check.py.
-echo "=== traced combo: series/streaming + temporal + observability"
+echo "=== traced combo: series + temporal + observability"
 traced_cfg="$workdir/case_traced.yaml"
-write_cfg "$traced_cfg" series streaming delta 2
+write_cfg "$traced_cfg" series delta 2
 cat >> "$traced_cfg" <<EOF
 
 temporal:
@@ -216,6 +207,6 @@ EOF
 [[ -s "$workdir/drag.engine" ]] || { echo "error: engine file missing" >&2; exit 1; }
 
 echo
-echo "OK: all $runs backend x ingest x codec combinations bit-identical"
+echo "OK: all $runs backend x codec x prefetch combinations bit-identical"
 echo "    sample set hash: $ref_hash"
 echo "    test loss:       $ref_loss"

@@ -5,10 +5,10 @@
 // Runs the full case (subsample -> train -> evaluate) and prints the lines
 // the paper's analysis greps for: "Evaluation on test set" and
 // "Total Energy Consumed". The dataset flows through the generator
-// producer, so `store.ingest: streaming` with an skl2/series backend
-// runs the whole T1 path without materializing a Dataset. The
-// "sample set hash" line fingerprints the sampled cubes — CI diffs it
-// across backend x ingest combinations to prove bit-identity.
+// producer, so `store.backend: series` runs the whole T1 path without
+// materializing a Dataset. The "sample set hash" line fingerprints the
+// sampled cubes — CI diffs it across backend x codec combinations to
+// prove bit-identity.
 //
 // `train.arch: lstm` selects the OF2D drag surrogate (sample-single):
 // sensor windows via build_drag_dataset, an ml::LstmModel fit, then —
@@ -196,11 +196,11 @@ int main(int argc, char** argv) {
           dataset_scale_from_config(cfg));
 
       std::printf("arch: %s | epochs %zu | batch %zu | sampling %s/%s @ %zu "
-                  "per cube | backend %s | ingest %s\n",
+                  "per cube | backend %s\n",
                   cc.arch.c_str(), cc.train.epochs, cc.train.batch,
                   cc.pipeline.hypercube_method.c_str(),
                   cc.pipeline.point_method.c_str(), cc.pipeline.num_samples,
-                  cc.backend.c_str(), cc.ingest.c_str());
+                  cc.backend.c_str());
       const CaseReport report = run_case(bundle, cc);
 
       std::printf("sampled points: %zu\n", report.sampled_points);
