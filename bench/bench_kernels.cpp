@@ -18,6 +18,7 @@
 #include "common/timer.hpp"
 #include "fft/fft.hpp"
 #include "field/field_source.hpp"
+#include "flow/spectral_turbulence.hpp"
 #include "ml/tensor.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -35,13 +36,20 @@ namespace {
 
 using namespace sickle;
 
+// The FFT rows alternate forward and inverse transforms of one buffer.
+// Repeated unnormalized forward transforms grow the values by sqrt(n) per
+// pass until they overflow to inf/NaN, after which every butterfly takes
+// the slow NaN path of complex multiplication and the row stops measuring
+// the transform.
 void BM_Fft1D(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(1);
   std::vector<fft::cplx> data(n);
   for (auto& x : data) x = fft::cplx(rng.normal(), 0.0);
+  bool inverse = false;
   for (auto _ : state) {
-    fft::forward(std::span<fft::cplx>(data));
+    fft::transform(std::span<fft::cplx>(data), inverse);
+    inverse = !inverse;
     benchmark::DoNotOptimize(data.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n);
@@ -53,12 +61,45 @@ void BM_Fft3D(benchmark::State& state) {
   Rng rng(2);
   std::vector<fft::cplx> data(n * n * n);
   for (auto& x : data) x = fft::cplx(rng.normal(), 0.0);
+  bool inverse = false;
   for (auto _ : state) {
-    fft::transform_3d(std::span<fft::cplx>(data), n, n, n, false);
+    fft::transform_3d(std::span<fft::cplx>(data), n, n, n, inverse);
+    inverse = !inverse;
     benchmark::DoNotOptimize(data.data());
   }
 }
 BENCHMARK(BM_Fft3D)->Arg(16)->Arg(32);
+
+/// The real SST-P1F4 grid (64x64x32): non-cubic, so the three passes run
+/// different line lengths and strides than the cubic rows.
+void BM_Fft3DBox(benchmark::State& state) {
+  const std::size_t nx = 64, ny = 64, nz = 32;
+  Rng rng(2);
+  std::vector<fft::cplx> data(nx * ny * nz);
+  for (auto& x : data) x = fft::cplx(rng.normal(), 0.0);
+  bool inverse = false;
+  for (auto _ : state) {
+    fft::transform_3d(std::span<fft::cplx>(data), nx, ny, nz, inverse);
+    inverse = !inverse;
+    benchmark::DoNotOptimize(data.data());
+  }
+}
+BENCHMARK(BM_Fft3DBox);
+
+/// One stratified snapshot at 64x64x32: time factors and 4 inverse
+/// transforms for u, v, w, rho; 14 3D FFTs of spectral pressure; the pv
+/// and eps stencils. The unit of ingest cost.
+void BM_StratifiedSnapshot(benchmark::State& state) {
+  flow::StratifiedParams params;
+  params.snapshots = 1;
+  flow::StratifiedProducer producer(params);
+  for (auto _ : state) {
+    producer.reset();
+    auto snap = producer.next();
+    benchmark::DoNotOptimize(snap->get("p").data().data());
+  }
+}
+BENCHMARK(BM_StratifiedSnapshot)->Unit(benchmark::kMillisecond);
 
 void BM_MiniBatchKMeans(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

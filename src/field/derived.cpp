@@ -8,19 +8,26 @@ namespace sickle::field {
 std::vector<double> central_derivative(const Field& f, int axis) {
   SICKLE_CHECK(axis >= 0 && axis <= 2);
   const GridShape& s = f.shape();
-  std::vector<double> out(s.size(), 0.0);
-  const std::ptrdiff_t dx = (axis == 0) ? 1 : 0;
-  const std::ptrdiff_t dy = (axis == 1) ? 1 : 0;
-  const std::ptrdiff_t dz = (axis == 2) ? 1 : 0;
-  for (std::size_t ix = 0; ix < s.nx; ++ix) {
-    for (std::size_t iy = 0; iy < s.ny; ++iy) {
-      for (std::size_t iz = 0; iz < s.nz; ++iz) {
-        const auto x = static_cast<std::ptrdiff_t>(ix);
-        const auto y = static_cast<std::ptrdiff_t>(iy);
-        const auto z = static_cast<std::ptrdiff_t>(iz);
-        out[s.index(ix, iy, iz)] =
-            0.5 * (f.at_periodic(x + dx, y + dy, z + dz) -
-                   f.at_periodic(x - dx, y - dy, z - dz));
+  // View the grid as [outer][n][inner] around the derivative axis; the
+  // neighbours of a point are +-inner apart, wrapping only at the ends of
+  // the axis (n == 1 wraps onto itself, giving 0 like the periodic read).
+  const std::size_t n = (axis == 0) ? s.nx : (axis == 1) ? s.ny : s.nz;
+  const std::size_t inner = (axis == 0) ? s.ny * s.nz
+                            : (axis == 1) ? s.nz
+                                          : 1;
+  std::vector<double> out(s.size());
+  if (out.empty()) return out;
+  const std::size_t outer = s.size() / (n * inner);
+  const double* in = f.data().data();
+  for (std::size_t o = 0; o < outer; ++o) {
+    for (std::size_t a = 0; a < n; ++a) {
+      const std::size_t up = (a + 1 == n) ? 0 : a + 1;
+      const std::size_t dn = (a == 0) ? n - 1 : a - 1;
+      const double* row_up = in + (o * n + up) * inner;
+      const double* row_dn = in + (o * n + dn) * inner;
+      double* dst = out.data() + (o * n + a) * inner;
+      for (std::size_t r = 0; r < inner; ++r) {
+        dst[r] = 0.5 * (row_up[r] - row_dn[r]);
       }
     }
   }

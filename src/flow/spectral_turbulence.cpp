@@ -1,5 +1,6 @@
 #include "flow/spectral_turbulence.hpp"
 
+#include <array>
 #include <cmath>
 #include <complex>
 #include <numbers>
@@ -10,6 +11,7 @@
 #include "common/rng.hpp"
 #include "fft/fft.hpp"
 #include "field/derived.hpp"
+#include "obs/trace.hpp"
 
 namespace sickle::flow {
 
@@ -148,12 +150,19 @@ SpectralState build_base_state(const SpectralTurbulenceParams& p, Rng& rng) {
   return st;
 }
 
-/// Inverse-transform one component at time t (phase sweep + viscous decay).
-std::vector<double> realize(const SpectralState& st,
-                            const std::vector<cplx>& base, double t,
-                            double viscosity) {
+/// Per-mode time factors of one step — viscous decay and the sweep phase
+/// rotation — computed once and shared by every component.
+struct StepFactors {
+  std::vector<double> decay;
+  std::vector<cplx> phase;
+};
+
+StepFactors step_factors(const SpectralState& st, double t,
+                         double viscosity) {
   const std::size_t n = st.size();
-  std::vector<cplx> hat(n);
+  StepFactors f;
+  f.decay.resize(n);
+  f.phase.resize(n);
   for (std::size_t ix = 0; ix < st.nx; ++ix) {
     const double kx = fft::wavenumber(ix, st.nx);
     for (std::size_t iy = 0; iy < st.ny; ++iy) {
@@ -164,11 +173,23 @@ std::vector<double> realize(const SpectralState& st,
         const double k2 = kx * kx + ky * ky + kz * kz;
         const double omega =
             kx * st.sweep[0] + ky * st.sweep[1] + kz * st.sweep[2];
-        const double decay = std::exp(-viscosity * k2 * t);
+        f.decay[idx] = std::exp(-viscosity * k2 * t);
         const double ph = -omega * t;
-        hat[idx] = base[idx] * decay * cplx(std::cos(ph), std::sin(ph));
+        f.phase[idx] = cplx(std::cos(ph), std::sin(ph));
       }
     }
+  }
+  return f;
+}
+
+/// Inverse-transform one component at one step's time factors.
+std::vector<double> realize(const SpectralState& st,
+                            const std::vector<cplx>& base,
+                            const StepFactors& f) {
+  const std::size_t n = st.size();
+  std::vector<cplx> hat(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    hat[i] = base[i] * f.decay[i] * f.phase[i];
   }
   fft::transform_3d(std::span<cplx>(hat), st.nx, st.ny, st.nz, true);
   std::vector<double> out(n);
@@ -221,24 +242,27 @@ std::vector<double> intermittency_envelope(std::size_t nx, std::size_t ny,
 
 /// Pressure from the exact spectral Poisson equation
 ///   lap p = -du_i/dx_j du_j/dx_i.
+/// One forward transform per velocity component feeds its three
+/// derivatives: 3 forward + 9 inverse + 2 Poisson = 14 3D FFTs.
 std::vector<double> pressure_poisson(const field::Snapshot& snap) {
+  obs::Span span("flow.pressure_poisson", "flow");
   const auto& s = snap.shape();
-  const char* names[3] = {"u", "v", "w"};
-  // grad[i][j] = du_i/dx_j
-  std::vector<std::vector<double>> grad[3];
-  for (int i = 0; i < 3; ++i) {
-    grad[i].resize(3);
-    for (int j = 0; j < 3; ++j) {
-      grad[i][j] = fft::spectral_derivative_3d(snap.get(names[i]).data(),
-                                               s.nx, s.ny, s.nz, j);
+  std::vector<double> rhs;
+  {
+    const char* names[3] = {"u", "v", "w"};
+    // grad[i][j] = du_i/dx_j
+    std::array<std::vector<double>, 3> grad[3];
+    for (int i = 0; i < 3; ++i) {
+      grad[i] = fft::spectral_gradient_3d(snap.get(names[i]).data(), s.nx,
+                                          s.ny, s.nz);
     }
-  }
-  std::vector<double> rhs(s.size(), 0.0);
-  for (int i = 0; i < 3; ++i) {
-    for (int j = 0; j < 3; ++j) {
-      const auto& gij = grad[i][j];
-      const auto& gji = grad[j][i];
-      for (std::size_t m = 0; m < rhs.size(); ++m) rhs[m] -= gij[m] * gji[m];
+    rhs.assign(s.size(), 0.0);
+    for (int i = 0; i < 3; ++i) {
+      for (int j = 0; j < 3; ++j) {
+        const auto& gij = grad[i][j];
+        const auto& gji = grad[j][i];
+        for (std::size_t m = 0; m < rhs.size(); ++m) rhs[m] -= gij[m] * gji[m];
+      }
     }
   }
   return fft::poisson_solve_3d(std::span<const double>(rhs), s.nx, s.ny,
@@ -270,15 +294,34 @@ struct SpectralTurbulenceProducer::Impl {
   }
 
   [[nodiscard]] field::Snapshot realize_step(std::size_t ts) const {
+    const double t = static_cast<double>(ts) * params.dt;
+    field::Snapshot snap(field::GridShape{params.nx, params.ny, params.nz},
+                         t);
+    add_velocity_and_density(snap);
+    if (params.with_pressure) {
+      snap.add("p", pressure_poisson(snap));
+    }
+    if (params.native_f32) {
+      for (const auto& name : snap.names()) {
+        for (double& x : snap.get(name).data()) {
+          x = static_cast<double>(static_cast<float>(x));
+        }
+      }
+    }
+    return snap;
+  }
+
+  /// u, v, w (+ rho) at the snapshot's time: one set of time factors,
+  /// one inverse transform per component.
+  void add_velocity_and_density(field::Snapshot& snap) const {
+    obs::Span span("flow.realize", "flow");
     const auto& p = params;
     const auto& st = state;
-    const field::GridShape shape{p.nx, p.ny, p.nz};
-    const double t = static_cast<double>(ts) * p.dt;
-    field::Snapshot snap(shape, t);
-
-    auto u = realize(st, st.u_hat, t, p.viscosity);
-    auto v = realize(st, st.v_hat, t, p.viscosity);
-    auto w = realize(st, st.w_hat, t, p.viscosity);
+    const field::GridShape& shape = snap.shape();
+    const StepFactors factors = step_factors(st, snap.time(), p.viscosity);
+    auto u = realize(st, st.u_hat, factors);
+    auto v = realize(st, st.v_hat, factors);
+    auto w = realize(st, st.w_hat, factors);
     // One common scale for all components (separate per-component scaling
     // would break solenoidality): target the mean horizontal RMS.
     {
@@ -308,7 +351,7 @@ struct SpectralTurbulenceProducer::Impl {
     snap.add("w", std::move(w));
 
     if (p.with_density) {
-      auto rho = realize(st, st.rho_hat, t, p.viscosity);
+      auto rho = realize(st, st.rho_hat, factors);
       normalize_rms(rho, 0.1);
       if (!envelope.empty()) {
         for (std::size_t i = 0; i < rho.size(); ++i) rho[i] *= envelope[i];
@@ -331,18 +374,6 @@ struct SpectralTurbulenceProducer::Impl {
       }
       snap.add("rho", std::move(rho));
     }
-
-    if (p.with_pressure) {
-      snap.add("p", pressure_poisson(snap));
-    }
-    if (p.native_f32) {
-      for (const auto& name : snap.names()) {
-        for (double& x : snap.get(name).data()) {
-          x = static_cast<double>(static_cast<float>(x));
-        }
-      }
-    }
-    return snap;
   }
 };
 
@@ -409,6 +440,7 @@ StratifiedProducer::StratifiedProducer(const StratifiedParams& p)
 std::optional<field::Snapshot> StratifiedProducer::next() {
   auto snap = base_.next();
   if (!snap) return std::nullopt;
+  obs::Span span("flow.derived", "flow");
   field::add_potential_vorticity_3d(*snap);
   field::add_dissipation_3d(*snap);
   return snap;
@@ -425,6 +457,7 @@ IsotropicProducer::IsotropicProducer(const IsotropicParams& p)
 std::optional<field::Snapshot> IsotropicProducer::next() {
   auto snap = base_.next();
   if (!snap) return std::nullopt;
+  obs::Span span("flow.derived", "flow");
   field::add_enstrophy_3d(*snap);
   field::add_dissipation_3d(*snap);
   return snap;

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <inttypes.h>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -26,6 +27,12 @@
 namespace sickle::serve {
 
 namespace {
+
+/// Longest unterminated request line a connection may buffer. A submit
+/// carries one case YAML (kilobytes); the cap sits far above that and
+/// above the 2 MiB nesting-bound probe, and bounds what a peer that never
+/// sends '\n' can make the daemon hold.
+constexpr std::size_t kMaxLineBytes = std::size_t{8} << 20;
 
 /// sample_hash travels as a string because JSON numbers are doubles and a
 /// 64-bit hash does not survive the round trip. The format matches
@@ -306,6 +313,7 @@ struct Server::Impl {
 
   void connection_loop(Conn* conn) {
     std::string buf;
+    std::size_t scanned = 0;  // bytes of buf already known to hold no '\n'
     char chunk[4096];
     bool open = true;
     while (open && !stopping.load(std::memory_order_relaxed)) {
@@ -313,7 +321,7 @@ struct Server::Impl {
       if (n <= 0) break;
       buf.append(chunk, static_cast<std::size_t>(n));
       std::size_t start = 0;
-      for (std::size_t nl = buf.find('\n', start);
+      for (std::size_t nl = buf.find('\n', scanned);
            nl != std::string::npos && open;
            nl = buf.find('\n', start)) {
         std::string line = buf.substr(start, nl - start);
@@ -321,6 +329,16 @@ struct Server::Impl {
         if (!trim(line).empty()) open = handle_line(conn->fd, line);
       }
       buf.erase(0, start);
+      scanned = buf.size();
+      if (open && buf.size() > kMaxLineBytes) {
+        send_all(conn->fd,
+                 error_response("request_too_large",
+                                "request line exceeds " +
+                                    std::to_string(kMaxLineBytes) +
+                                    " bytes without a newline")
+                     .dump());
+        break;
+      }
     }
     // Close under the registry lock so stop() can't shutdown() a reused
     // fd number.

@@ -74,9 +74,11 @@ class CaseTask final : public stage::Observer {
     return cancel_.load(std::memory_order_relaxed);
   }
 
-  /// Run the case on the calling (runner) thread and record the outcome.
+  /// Run the case on the calling (runner) thread and record the outcome,
+  /// then free its producer.
   void execute() {
     if (cancel_.load(std::memory_order_relaxed)) {
+      bundle_.producer.reset();
       finish(CaseState::kCancelled);
       return;
     }
@@ -99,6 +101,11 @@ class CaseTask final : public stage::Observer {
       }
       fail(classify(at), e.what());
     }
+    // A case runs once. Its generator state (a spectral producer's base
+    // fields and envelope) is dead from here on, but the task lives as
+    // long as any handle — and a daemon keeps every handle — so free it
+    // now rather than let memory grow with the number of cases served.
+    bundle_.producer.reset();
   }
 
   [[nodiscard]] CaseStatus status() const {

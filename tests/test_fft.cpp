@@ -1,8 +1,13 @@
 // Unit tests: FFT, Poisson solve, spectral derivatives.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numbers>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -12,6 +17,143 @@ namespace sickle::fft {
 namespace {
 
 constexpr double kPi = std::numbers::pi;
+
+// The recurrence radix-2 kernel every transform must reproduce bit for
+// bit: bit-reverse, then per stage a butterfly whose twiddle advances by
+// `w *= wlen`, one fresh heap line and column gather per strided line.
+// It is the reference of the oracle tests below and must not be
+// "optimized" — its arithmetic is the contract (see fft.hpp).
+namespace ref {
+
+void bit_reverse(std::span<cplx> a) {
+  const std::size_t n = a.size();
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(a[i], a[j]);
+  }
+}
+
+void transform(std::span<cplx> data, bool inverse) {
+  const std::size_t n = data.size();
+  if (n <= 1) return;
+  bit_reverse(data);
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const double ang =
+        (inverse ? 2.0 : -2.0) * std::numbers::pi / static_cast<double>(len);
+    const cplx wlen(std::cos(ang), std::sin(ang));
+    for (std::size_t i = 0; i < n; i += len) {
+      cplx w(1.0, 0.0);
+      for (std::size_t j = 0; j < len / 2; ++j) {
+        const cplx u = data[i + j];
+        const cplx v = data[i + j + len / 2] * w;
+        data[i + j] = u + v;
+        data[i + j + len / 2] = u - v;
+        w *= wlen;
+      }
+    }
+  }
+  if (inverse) {
+    const double inv_n = 1.0 / static_cast<double>(n);
+    for (auto& x : data) x *= inv_n;
+  }
+}
+
+void transform_lines(cplx* data, std::size_t n, std::size_t stride,
+                     std::size_t count, std::size_t dist, bool inverse) {
+  std::vector<cplx> line(n);
+  for (std::size_t c = 0; c < count; ++c) {
+    cplx* base = data + c * dist;
+    if (stride == 1) {
+      transform(std::span<cplx>(base, n), inverse);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) line[i] = base[i * stride];
+      transform(std::span<cplx>(line), inverse);
+      for (std::size_t i = 0; i < n; ++i) base[i * stride] = line[i];
+    }
+  }
+}
+
+void transform_2d(std::span<cplx> data, std::size_t nx, std::size_t ny,
+                  bool inverse) {
+  transform_lines(data.data(), ny, 1, nx, ny, inverse);
+  for (std::size_t iy = 0; iy < ny; ++iy) {
+    transform_lines(data.data() + iy, nx, ny, 1, 0, inverse);
+  }
+}
+
+void transform_3d(std::span<cplx> data, std::size_t nx, std::size_t ny,
+                  std::size_t nz, bool inverse) {
+  transform_lines(data.data(), nz, 1, nx * ny, nz, inverse);
+  for (std::size_t ix = 0; ix < nx; ++ix) {
+    for (std::size_t iz = 0; iz < nz; ++iz) {
+      transform_lines(data.data() + ix * ny * nz + iz, ny, nz, 1, 0, inverse);
+    }
+  }
+  for (std::size_t iy = 0; iy < ny; ++iy) {
+    for (std::size_t iz = 0; iz < nz; ++iz) {
+      transform_lines(data.data() + iy * nz + iz, nx, ny * nz, 1, 0, inverse);
+    }
+  }
+}
+
+std::vector<double> spectral_derivative_3d(std::span<const double> field,
+                                           std::size_t nx, std::size_t ny,
+                                           std::size_t nz, int axis) {
+  std::vector<cplx> hat(field.size());
+  for (std::size_t i = 0; i < field.size(); ++i) hat[i] = cplx(field[i], 0.0);
+  transform_3d(std::span<cplx>(hat), nx, ny, nz, false);
+  const cplx I(0.0, 1.0);
+  for (std::size_t ix = 0; ix < nx; ++ix) {
+    const double kx = wavenumber(ix, nx);
+    for (std::size_t iy = 0; iy < ny; ++iy) {
+      const double ky = wavenumber(iy, ny);
+      for (std::size_t iz = 0; iz < nz; ++iz) {
+        const double kz = wavenumber(iz, nz);
+        const double k = (axis == 0) ? kx : (axis == 1) ? ky : kz;
+        hat[(ix * ny + iy) * nz + iz] *= I * k;
+      }
+    }
+  }
+  const std::size_t n = (axis == 0) ? nx : (axis == 1) ? ny : nz;
+  if (n >= 2) {
+    for (std::size_t ix = 0; ix < nx; ++ix) {
+      for (std::size_t iy = 0; iy < ny; ++iy) {
+        for (std::size_t iz = 0; iz < nz; ++iz) {
+          const std::size_t i_ax = (axis == 0) ? ix : (axis == 1) ? iy : iz;
+          if (i_ax == n / 2) hat[(ix * ny + iy) * nz + iz] = cplx(0.0, 0.0);
+        }
+      }
+    }
+  }
+  transform_3d(std::span<cplx>(hat), nx, ny, nz, true);
+  std::vector<double> out(field.size());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = hat[i].real();
+  return out;
+}
+
+}  // namespace ref
+
+template <typename T>
+bool bitwise_equal(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+std::vector<cplx> random_complex(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<cplx> data(n);
+  for (auto& x : data) x = cplx(rng.normal(), rng.normal());
+  return data;
+}
+
+std::vector<double> random_real(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> data(n);
+  for (auto& x : data) x = rng.normal();
+  return data;
+}
 
 TEST(Fft, RoundTripIdentity) {
   Rng rng(1);
@@ -161,6 +303,91 @@ TEST(Fft, PoissonGaugesOutMean) {
   const std::vector<double> rhs(n * n * n, 3.0);
   const auto solved = poisson_solve_3d(rhs, n, n, n);
   for (const double v : solved) EXPECT_NEAR(v, 0.0, 1e-10);
+}
+
+TEST(FftOracle, TransformMatchesRecurrenceKernelBitwise) {
+  for (std::size_t n = 1; n <= 4096; n <<= 1) {
+    for (const bool inverse : {false, true}) {
+      auto got = random_complex(n, 100 + n);
+      auto want = got;
+      transform(std::span<cplx>(got), inverse);
+      ref::transform(std::span<cplx>(want), inverse);
+      EXPECT_TRUE(bitwise_equal(got, want))
+          << "n=" << n << " inverse=" << inverse;
+    }
+  }
+}
+
+TEST(FftOracle, StridedLinesMatchRecurrenceKernelBitwise) {
+  struct Case {
+    std::size_t n, stride, count, dist, size;
+  };
+  // Contiguous lines, adjacent strided lines (a full and a partial batch),
+  // and strided lines that are themselves spread out (dist > 1).
+  const Case cases[] = {{32, 1, 5, 32, 160},
+                        {16, 12, 12, 1, 192},
+                        {64, 20, 20, 1, 1280},
+                        {8, 10, 5, 2, 80},
+                        {4, 3, 1, 0, 12}};
+  for (const auto& c : cases) {
+    for (const bool inverse : {false, true}) {
+      auto got = random_complex(c.size, 7 + c.n);
+      auto want = got;
+      transform_lines(got.data(), c.n, c.stride, c.count, c.dist, inverse);
+      ref::transform_lines(want.data(), c.n, c.stride, c.count, c.dist,
+                           inverse);
+      EXPECT_TRUE(bitwise_equal(got, want))
+          << "n=" << c.n << " stride=" << c.stride << " count=" << c.count
+          << " dist=" << c.dist << " inverse=" << inverse;
+    }
+  }
+}
+
+TEST(FftOracle, Transform2DMatchesRecurrenceKernelBitwise) {
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {16, 8}, {1, 32}, {32, 1}, {64, 64}, {4, 128}};
+  for (const auto& [nx, ny] : shapes) {
+    for (const bool inverse : {false, true}) {
+      auto got = random_complex(nx * ny, nx * 1000 + ny);
+      auto want = got;
+      transform_2d(std::span<cplx>(got), nx, ny, inverse);
+      ref::transform_2d(std::span<cplx>(want), nx, ny, inverse);
+      EXPECT_TRUE(bitwise_equal(got, want))
+          << nx << "x" << ny << " inverse=" << inverse;
+    }
+  }
+}
+
+TEST(FftOracle, Transform3DMatchesRecurrenceKernelBitwise) {
+  const std::array<std::size_t, 3> shapes[] = {
+      {64, 64, 32}, {8, 1, 16}, {2, 4, 1}, {1, 1, 1}};
+  for (const auto& [nx, ny, nz] : shapes) {
+    for (const bool inverse : {false, true}) {
+      auto got = random_complex(nx * ny * nz, nx * 10000 + ny * 100 + nz);
+      auto want = got;
+      transform_3d(std::span<cplx>(got), nx, ny, nz, inverse);
+      ref::transform_3d(std::span<cplx>(want), nx, ny, nz, inverse);
+      EXPECT_TRUE(bitwise_equal(got, want))
+          << nx << "x" << ny << "x" << nz << " inverse=" << inverse;
+    }
+  }
+}
+
+TEST(FftOracle, SharedForwardGradientMatchesThreeDerivativesBitwise) {
+  const std::array<std::size_t, 3> shapes[] = {
+      {16, 8, 4}, {8, 1, 16}, {32, 32, 16}, {1, 1, 1}};
+  for (const auto& [nx, ny, nz] : shapes) {
+    const auto f = random_real(nx * ny * nz, nx + ny + nz);
+    const auto grad = spectral_gradient_3d(f, nx, ny, nz);
+    for (int axis = 0; axis < 3; ++axis) {
+      const auto want = ref::spectral_derivative_3d(f, nx, ny, nz, axis);
+      EXPECT_TRUE(bitwise_equal(grad[axis], want))
+          << nx << "x" << ny << "x" << nz << " axis=" << axis;
+      EXPECT_TRUE(
+          bitwise_equal(spectral_derivative_3d(f, nx, ny, nz, axis), want))
+          << nx << "x" << ny << "x" << nz << " axis=" << axis;
+    }
+  }
 }
 
 }  // namespace

@@ -2,9 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "common/mathx.hpp"
+#include "common/rng.hpp"
 #include "fft/fft.hpp"
+#include "field/derived.hpp"
 #include "flow/combustion.hpp"
 #include "flow/cylinder.hpp"
 #include "flow/spectral_turbulence.hpp"
@@ -470,6 +475,87 @@ TEST(Producer, BaseResetThrowsDocumentedCloneError) {
   OneShot producer;
   EXPECT_THROW(producer.reset(), CloneError);
   EXPECT_THROW(producer.reset(), RuntimeError);  // IS-A, for legacy catches
+}
+
+/// The periodic-read stencil the derived fields are defined by: three
+/// modulo-wrapped reads per neighbour through Field::at_periodic.
+std::vector<double> reference_central_derivative(const field::Field& f,
+                                                 int axis) {
+  const field::GridShape& s = f.shape();
+  std::vector<double> out(s.size(), 0.0);
+  const std::ptrdiff_t dx = (axis == 0) ? 1 : 0;
+  const std::ptrdiff_t dy = (axis == 1) ? 1 : 0;
+  const std::ptrdiff_t dz = (axis == 2) ? 1 : 0;
+  for (std::size_t ix = 0; ix < s.nx; ++ix) {
+    for (std::size_t iy = 0; iy < s.ny; ++iy) {
+      for (std::size_t iz = 0; iz < s.nz; ++iz) {
+        const auto x = static_cast<std::ptrdiff_t>(ix);
+        const auto y = static_cast<std::ptrdiff_t>(iy);
+        const auto z = static_cast<std::ptrdiff_t>(iz);
+        out[s.index(ix, iy, iz)] =
+            0.5 * (f.at_periodic(x + dx, y + dy, z + dz) -
+                   f.at_periodic(x - dx, y - dy, z - dz));
+      }
+    }
+  }
+  return out;
+}
+
+bool bitwise_equal(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(DerivedStencil, CentralDerivativeMatchesPeriodicReadsBitwise) {
+  const field::GridShape shapes[] = {
+      {16, 16, 8}, {8, 1, 4}, {1, 8, 1}, {3, 5, 7}, {1, 1, 1}};
+  for (const auto& shape : shapes) {
+    field::Snapshot snap(shape);
+    auto& f = snap.add("f");
+    Rng rng(shape.nx * 100 + shape.ny * 10 + shape.nz);
+    for (double& x : f.data()) x = rng.normal();
+    for (int axis = 0; axis < 3; ++axis) {
+      EXPECT_TRUE(bitwise_equal(field::central_derivative(f, axis),
+                                reference_central_derivative(f, axis)))
+          << shape.nx << "x" << shape.ny << "x" << shape.nz
+          << " axis=" << axis;
+    }
+  }
+}
+
+TEST(DerivedStencil, PvAndEpsMatchPeriodicReadReferenceBitwise) {
+  StratifiedParams p;
+  p.nx = 16;
+  p.ny = 32;
+  p.nz = 8;
+  p.snapshots = 2;
+  StratifiedProducer producer(p);
+  (void)producer.next();
+  const auto snap = producer.next();
+  ASSERT_TRUE(snap.has_value());
+  const std::size_t n = snap->shape().size();
+  // g[i][j] = d(var_i)/dx_j, var = u, v, w, rho.
+  const char* vars[4] = {"u", "v", "w", "rho"};
+  std::vector<double> g[4][3];
+  for (int i = 0; i < 4; ++i) {
+    for (int j = 0; j < 3; ++j) {
+      g[i][j] = reference_central_derivative(snap->get(vars[i]), j);
+    }
+  }
+  std::vector<double> pv(n), eps(n, 0.0);
+  for (std::size_t m = 0; m < n; ++m) {
+    const double cx = g[2][1][m] - g[1][2][m];
+    const double cy = g[0][2][m] - g[2][0][m];
+    const double cz = g[1][0][m] - g[0][1][m];
+    pv[m] = cx * g[3][0][m] + cy * g[3][1][m] + cz * g[3][2][m];
+  }
+  for (int i = 0; i < 3; ++i) {
+    for (int j = 0; j < 3; ++j) {
+      for (std::size_t m = 0; m < n; ++m) eps[m] += sqr(g[i][j][m]);
+    }
+  }
+  EXPECT_TRUE(bitwise_equal(snap->get("pv").data(), pv));
+  EXPECT_TRUE(bitwise_equal(snap->get("eps").data(), eps));
 }
 
 }  // namespace

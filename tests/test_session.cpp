@@ -239,6 +239,43 @@ TEST(Session, FailingProducerSurfacesTypedIngestError) {
   EXPECT_FALSE(s.error.empty());
 }
 
+/// Forwards to an inner producer and owns a token, so a test can watch
+/// when the session lets go of the producer.
+class TokenProducer final : public flow::SnapshotProducer {
+ public:
+  TokenProducer(std::unique_ptr<flow::SnapshotProducer> inner,
+                std::shared_ptr<int> token)
+      : inner_(std::move(inner)), token_(std::move(token)) {}
+  [[nodiscard]] std::size_t num_snapshots() const override {
+    return inner_->num_snapshots();
+  }
+  [[nodiscard]] std::optional<field::Snapshot> next() override {
+    return inner_->next();
+  }
+  void reset() override { inner_->reset(); }
+
+ private:
+  std::unique_ptr<flow::SnapshotProducer> inner_;
+  std::shared_ptr<int> token_;
+};
+
+TEST(Session, FinishedCaseReleasesItsProducerWhileTheHandleLives) {
+  auto token = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = token;
+  CaseHandle h;
+  {
+    CaseSession session;
+    TinyCase t = tiny_case(5);
+    t.bundle.producer = std::make_unique<TokenProducer>(
+        std::move(t.bundle.producer), std::move(token));
+    h = session.submit(std::move(t.bundle), std::move(t.cfg));
+    EXPECT_GT(h.wait().sampled_points, 0u);
+  }  // joins the runners: the task is done with its producer
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(h.status().state, CaseState::kDone);
+  EXPECT_GT(h.wait().sampled_points, 0u);  // the report outlives it
+}
+
 TEST(Session, SharedCacheAccumulatesAcrossConcurrentSeriesCases) {
   const store::CacheStats before = CaseSession::shared_cache_stats();
   CaseSession session({.max_concurrent_cases = 2});
