@@ -7,7 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 
-#include "io/snapshot_io.hpp"
+#include "io/sample_io.hpp"
 #include "sampling/pipeline.hpp"
 #include "sickle/dataset_zoo.hpp"
 #include "stats/descriptive.hpp"

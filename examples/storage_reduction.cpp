@@ -1,11 +1,11 @@
-// Storage reduction: write a dense DNS snapshot three ways — flat SKL1,
-// chunked compressed SKL3, and a MaxEnt-sampled sparse subset — and
-// compare their on-disk footprints. Also demonstrates out-of-core
+// Storage reduction: write a dense DNS snapshot three ways — uncompressed
+// (raw-codec) SKL3, compressed SKL3, and a MaxEnt-sampled sparse subset —
+// and compare their on-disk footprints. Also demonstrates out-of-core
 // sampling straight from the compressed store.
 #include <cstdio>
 #include <filesystem>
 
-#include "io/snapshot_io.hpp"
+#include "io/sample_io.hpp"
 #include "sampling/pipeline.hpp"
 #include "sickle/dataset_zoo.hpp"
 #include "store/series_store.hpp"
@@ -30,14 +30,16 @@ int main() {
   const auto& snap = bundle.data.snapshot(0);
   const auto dir = std::filesystem::temp_directory_path();
 
+  // The dense reference: the same chunked store, uncompressed.
+  store::StoreOptions sopts;
+  sopts.chunk = {16, 16, 16};
+  sopts.codec = "raw";
   const std::size_t dense =
-      io::save_snapshot(snap, (dir / "gests_dense.skl").string());
+      write_one(snap, (dir / "gests_dense.skl3").string(), sopts).file_bytes;
   std::printf("dense snapshot:  %10zu bytes (%zu points x %zu vars)\n",
               dense, snap.shape().size(), snap.num_fields());
 
   // Chunked compressed stores: lossless delta and 1e-3-tolerance quant.
-  store::StoreOptions sopts;
-  sopts.chunk = {16, 16, 16};
   sopts.codec = "delta";
   const auto delta_report =
       write_one(snap, (dir / "gests_delta.skl3").string(), sopts);
@@ -86,7 +88,7 @@ int main() {
   std::printf("reduction:       %.1fx\n",
               static_cast<double>(dense) / static_cast<double>(sparse));
 
-  std::filesystem::remove(dir / "gests_dense.skl");
+  std::filesystem::remove(dir / "gests_dense.skl3");
   std::filesystem::remove(dir / "gests_delta.skl3");
   std::filesystem::remove(dir / "gests_quant.skl3");
   std::filesystem::remove(dir / "gests_sparse.skl");

@@ -1,9 +1,9 @@
-#include "io/snapshot_io.hpp"
+#include "io/sample_io.hpp"
 
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
+#include <span>
 
 #include "common/error.hpp"
 
@@ -11,7 +11,6 @@ namespace sickle::io {
 
 namespace {
 
-constexpr char kSnapshotMagic[4] = {'S', 'K', 'L', '1'};
 constexpr char kSamplesMagic[4] = {'S', 'K', 'S', '1'};
 
 template <typename T>
@@ -54,51 +53,6 @@ void read_doubles(std::ifstream& f, std::span<double> v) {
 
 }  // namespace
 
-std::size_t save_snapshot(const field::Snapshot& snap,
-                          const std::string& path) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) throw RuntimeError("cannot open for write: " + path);
-  f.write(kSnapshotMagic, 4);
-  write_pod<std::uint64_t>(f, snap.shape().nx);
-  write_pod<std::uint64_t>(f, snap.shape().ny);
-  write_pod<std::uint64_t>(f, snap.shape().nz);
-  write_pod<double>(f, snap.time());
-  const auto names = snap.names();
-  write_pod<std::uint64_t>(f, names.size());
-  for (const auto& name : names) {
-    write_string(f, name);
-    write_doubles(f, snap.get(name).data());
-  }
-  f.flush();
-  if (!f) throw RuntimeError("error writing: " + path);
-  return file_bytes(path);
-}
-
-field::Snapshot load_snapshot(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw RuntimeError("cannot open for read: " + path);
-  char magic[4];
-  f.read(magic, 4);
-  if (!f || std::memcmp(magic, kSnapshotMagic, 4) != 0) {
-    throw RuntimeError("not a .skl snapshot file: " + path);
-  }
-  field::GridShape shape;
-  shape.nx = read_pod<std::uint64_t>(f);
-  shape.ny = read_pod<std::uint64_t>(f);
-  shape.nz = read_pod<std::uint64_t>(f);
-  const double time = read_pod<double>(f);
-  field::Snapshot snap(shape, time);
-  const auto nfields = read_pod<std::uint64_t>(f);
-  SICKLE_CHECK_MSG(nfields < 1024, "implausible field count in .skl");
-  for (std::uint64_t i = 0; i < nfields; ++i) {
-    const std::string name = read_string(f);
-    std::vector<double> data(shape.size());
-    read_doubles(f, data);
-    snap.add(name, std::move(data));
-  }
-  return snap;
-}
-
 std::size_t save_samples(const SampleFile& samples, const std::string& path) {
   SICKLE_CHECK(samples.features.size() ==
                samples.indices.size() * samples.variables.size());
@@ -114,7 +68,7 @@ std::size_t save_samples(const SampleFile& samples, const std::string& path) {
   write_doubles(f, samples.features);
   f.flush();
   if (!f) throw RuntimeError("error writing: " + path);
-  return file_bytes(path);
+  return static_cast<std::size_t>(f.tellp());
 }
 
 SampleFile load_samples(const std::string& path) {
@@ -140,12 +94,6 @@ SampleFile load_samples(const std::string& path) {
   out.features.resize(n * nvars);
   read_doubles(f, out.features);
   return out;
-}
-
-std::size_t file_bytes(const std::string& path) {
-  std::error_code ec;
-  const auto size = std::filesystem::file_size(path, ec);
-  return ec ? 0 : static_cast<std::size_t>(size);
 }
 
 }  // namespace sickle::io

@@ -1,0 +1,40 @@
+/// @file sample_io.hpp
+/// @brief Binary sample-set storage (flat SKS1 file).
+///
+/// One of SICKLE's practical benefits is storage reduction: a feature-rich
+/// subsampled dataset occupies a small fraction of the raw DNS checkpoint.
+/// This module stores such a sampled subset in one flat file; full
+/// snapshots and series live in the chunked SKL3 container
+/// (store/series_store.hpp).
+///
+/// Layout (little-endian, host order — single-platform scientific format):
+///   magic "SKS1" | u64 npoints | u64 nvars | per var: u32 name_len | name
+///   bytes | npoints u64 indices | features f64 row-major [npoints][nvars]
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+namespace sickle::io {
+
+/// Sampled subset: global indices plus per-point feature rows.
+struct SampleFile {
+  std::vector<std::string> variables;
+  std::vector<std::uint64_t> indices;
+  std::vector<double> features;  ///< row-major [n][variables.size()]
+
+  [[nodiscard]] std::size_t points() const noexcept {
+    return indices.size();
+  }
+};
+
+/// Write a sample set; returns bytes written. Throws RuntimeError on I/O
+/// failure and CheckError when features do not match indices x variables.
+std::size_t save_samples(const SampleFile& samples, const std::string& path);
+/// Read a sample set written by save_samples. Throws RuntimeError on a
+/// missing, foreign or truncated file.
+[[nodiscard]] SampleFile load_samples(const std::string& path);
+
+}  // namespace sickle::io

@@ -14,17 +14,16 @@
 /// long the series grows. A file whose writer crashed before close() has
 /// no index and is rejected by SeriesReader with a clear error.
 ///
-/// Format v2 adds an *index-resident summary block* — per-snapshot
-/// per-variable [min, max] computed while the writer already sees every
-/// value — plus an FNV-1a checksum over the whole index section. Readers
-/// accept v1 files (no summary: value_range reports nullopt and consumers
-/// fall back to scanning); a corrupted v2 index fails the checksum with a
-/// clear error instead of decoding garbage. Format v4 further appends
-/// per-snapshot per-variable *coarse histogram* counts
-/// (field::kCoarseHistogramBins bins over the stored [min, max]) to each
-/// index record — still covered by the index checksum — so temporal
-/// selection on a sealed series seeds its novelty ranking with zero
-/// payload decodes (coarse_histogram). Layout spec: docs/STORE.md.
+/// Every index record also carries *index-resident summaries* computed
+/// while the writer already sees every value: per-variable [min, max]
+/// (value_range) and *coarse histogram* counts (field::kCoarseHistogramBins
+/// bins over that range; coarse_histogram), so temporal selection on a
+/// sealed series seeds its novelty ranking with zero payload decodes. An
+/// FNV-1a checksum covers the whole index section and every block ref
+/// carries one over its encoded payload: a corrupted index or block fails
+/// with a clear error instead of decoding garbage. One layout (version 4)
+/// is written and read; the reader refuses any other. Layout spec:
+/// docs/STORE.md.
 #pragma once
 
 #include <cstddef>
@@ -61,11 +60,6 @@ struct StoreOptions {
   /// whose raw input stays under this bound, so writer memory is
   /// O(budget + codec scratch) instead of O(snapshot).
   std::size_t write_budget_bytes = 8ull << 20;
-  /// Container format version to write; 0 = latest. Compat/testing knob:
-  /// 1 = no summary blocks or index checksum, 2 = no per-block payload
-  /// checksums, 3 = no index-resident histograms. Readers accept every
-  /// version they know.
-  std::uint32_t format_version = 0;
   /// Reader-side: decode into this externally owned BlockCache instead of
   /// a per-reader one (keys are salted with a per-file hash so readers of
   /// different containers can share it). nullptr = each reader owns a
@@ -77,36 +71,13 @@ struct StoreOptions {
 
 /// One encoded block's location inside a container file — one entry of
 /// the trailing index. `checksum` (FNV-1a of the encoded payload bytes) is
-/// serialized by format v3+ and verified before every decode, so a flipped
-/// payload bit fails loudly instead of decoding to silently wrong values.
+/// verified before every decode, so a flipped payload bit fails loudly
+/// instead of decoding to silently wrong values.
 struct BlockRef {
   std::uint64_t offset = 0;
   std::uint64_t bytes = 0;
   std::uint64_t checksum = 0;
 };
-
-/// What one wave-streamed snapshot write did (summed into the writer's
-/// report).
-struct WaveWriteStats {
-  std::size_t payload_bytes = 0;
-  std::size_t peak_buffered_bytes = 0;
-  double encode_seconds = 0.0;  ///< chunk extraction + encode only, no I/O
-};
-
-/// The streaming scheme behind SeriesWriter::append: encode one
-/// snapshot's (field, chunk) blocks in parallel waves whose raw input
-/// stays under `budget_bytes` (floored at one chunk), flush each wave to
-/// `out`, and append a BlockRef per block to `index`. Peak writer memory
-/// is one wave of encoded blocks — never the snapshot. Throws
-/// RuntimeError on I/O failure.
-WaveWriteStats write_blocks_in_waves(const field::Snapshot& snap,
-                                     const ChunkLayout& layout,
-                                     const std::vector<std::string>& names,
-                                     const Codec& codec, ThreadPool* pool,
-                                     std::size_t budget_bytes,
-                                     std::ofstream& out,
-                                     const std::string& path,
-                                     std::vector<BlockRef>& index);
 
 /// How a SeriesReader caches and prefetches decoded blocks.
 struct ReaderOptions {
@@ -190,7 +161,6 @@ class SeriesWriter {
  private:
   std::string path_;
   StoreOptions opts_;
-  std::uint32_t version_;  ///< format version being written (1, 2, or 3)
   std::ofstream out_;
   std::unique_ptr<Codec> codec_;
   std::unique_ptr<ChunkLayout> layout_;  ///< set by the first append
@@ -198,8 +168,8 @@ class SeriesWriter {
   std::uint64_t patch_pos_ = 0;  ///< header position of index_offset
   std::vector<double> times_;    ///< one per appended snapshot
   std::vector<BlockRef> index_;  ///< [(t * nfields + f) * nchunks + c]
-  std::vector<field::VarRange> summaries_;  ///< [t * nfields + f], v2 only
-  /// Coarse histogram counts, v4 only:
+  std::vector<field::VarRange> summaries_;  ///< [t * nfields + f]
+  /// Coarse histogram counts:
   /// [(t * nfields + f) * field::kCoarseHistogramBins + bin].
   std::vector<std::uint64_t> hists_;
   SeriesWriteReport report_;
@@ -269,18 +239,17 @@ class SeriesReader final : public field::SeriesSource {
     SICKLE_CHECK(t < times_.size());
     return times_[t];
   }
-  /// Index-resident summary (format v2): exact per-snapshot [min, max] of
-  /// one variable, read from the index without touching the payload.
-  /// nullopt for v1 files — consumers (temporal selection) then fall back
-  /// to a full range scan. For the lossy quant codec the summary reflects
-  /// the pre-encode values (within codec tolerance of the decoded ones).
+  /// Index-resident summary: exact per-snapshot [min, max] of one
+  /// variable, read from the index without touching the payload. Never
+  /// nullopt for a sealed series. For the lossy quant codec the summary
+  /// reflects the pre-encode values (within codec tolerance of the
+  /// decoded ones).
   [[nodiscard]] std::optional<field::VarRange> value_range(
       std::size_t t, const std::string& var) const override;
-  /// Index-resident coarse histogram (format v4): counts of the canonical
+  /// Index-resident coarse histogram: counts of the canonical
   /// field::kCoarseHistogramBins-bin histogram of one variable over its
   /// stored per-snapshot [min, max], read from the index without touching
-  /// the payload. nullopt for v1-v3 files — consumers (temporal
-  /// selection) then fall back to a streamed scan. Same quant-codec
+  /// the payload. Never nullopt for a sealed series. Same quant-codec
   /// caveat as value_range: counts describe the pre-encode values.
   [[nodiscard]] std::optional<std::vector<std::uint64_t>> coarse_histogram(
       std::size_t t, const std::string& var) const override;
@@ -322,18 +291,6 @@ class SeriesReader final : public field::SeriesSource {
   [[nodiscard]] std::size_t shard_count() const noexcept {
     return cache_->shard_count();
   }
-  /// Container format version (1 = no summary block, 2 = summary block +
-  /// index checksum, 3 = v2 plus per-block payload checksums, 4 = v3 plus
-  /// index-resident coarse histogram summaries).
-  [[nodiscard]] std::uint32_t format_version() const noexcept {
-    return version_;
-  }
-  [[nodiscard]] bool has_summaries() const noexcept {
-    return !summaries_.empty();
-  }
-  [[nodiscard]] bool has_histograms() const noexcept {
-    return !histograms_.empty();
-  }
   /// Total bytes fetched from the file since open (header + index +
   /// payload) — I/O accounting for single-pass assertions.
   [[nodiscard]] std::uint64_t io_bytes_read() const noexcept {
@@ -355,15 +312,14 @@ class SeriesReader final : public field::SeriesSource {
 
   std::unique_ptr<ReadOnlyFile> file_;
   ChunkLayout layout_{{1, 1, 1}, {1, 1, 1}};
-  std::uint32_t version_ = 0;
   std::vector<std::string> names_;
   std::map<std::string, std::size_t> field_index_;
   std::unique_ptr<Codec> codec_;
   std::string codec_name_;
   std::vector<double> times_;
   std::vector<BlockRef> index_;  ///< [(t * nfields + f) * nchunks + c]
-  std::vector<field::VarRange> summaries_;  ///< [t * nfields + f], v2 only
-  /// Coarse histogram counts, v4 only:
+  std::vector<field::VarRange> summaries_;  ///< [t * nfields + f]
+  /// Coarse histogram counts:
   /// [(t * nfields + f) * field::kCoarseHistogramBins + bin].
   std::vector<std::uint64_t> histograms_;
   std::vector<SeriesSnapshotView> views_;  ///< one borrowable view per t

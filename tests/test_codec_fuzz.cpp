@@ -8,13 +8,13 @@
 //
 //  * Container level (SKL3): the same mutations over the payload + index
 //    regions of real store files. Here the format DOES
-//    carry integrity metadata (FNV-1a index checksum since v2, per-block
-//    payload checksums since v3), so the contract tightens to "bit-exact
-//    or typed error" — silent wrong data is a failure.
+//    carry integrity metadata (an FNV-1a index checksum and per-block
+//    payload checksums), so the contract tightens to "bit-exact or typed
+//    error" — silent wrong data is a failure.
 //
 // Everything is seeded and offset-loop driven (no wall-clock randomness),
-// extending the single-offset byte-flip tests from the v2 format work
-// into full-region sweeps. Runs under ASan/UBSan/TSan in CI.
+// extending the single-offset index byte-flip tests into full-region
+// sweeps. Runs under ASan/UBSan/TSan in CI.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -210,8 +210,8 @@ class ContainerFuzz : public ::testing::Test {
 TEST_F(ContainerFuzz, Skl3PayloadSpliceFailsChecksum) {
   // Two one-snapshot stores with different values: graft a block-sized
   // slice of one payload into the other. The index checksum still matches
-  // (the index is untouched), so only v3+'s per-block payload checksums
-  // can catch it.
+  // (the index is untouched), so only the per-block payload checksums can
+  // catch it.
   StoreOptions opts;
   opts.chunk = {4, 4, 4};
   opts.codec = "raw";
@@ -269,11 +269,11 @@ TEST_F(ContainerFuzz, Skl3BitFlipSweepIsExactOrTypedError) {
   writer.append(make_snapshot(0.5));
   writer.close();
   const auto clean = slurp(path("base.skl3"));
+  ASSERT_EQ(clean[4], 4u);  // u32 version after the magic: the v4 layout
 
   std::vector<std::vector<double>> ref;
   {
     SeriesReader reader(path("base.skl3"));
-    ASSERT_EQ(reader.format_version(), 4u);
     for (std::size_t t = 0; t < reader.num_snapshots(); ++t) {
       const auto s = reader.load_snapshot(t);
       for (const auto& name : s.names()) {

@@ -1,4 +1,4 @@
-// Unit tests: common (RNG, math helpers, CSV, config).
+// Unit tests: common (RNG, math helpers, CSV, config, JSON escaping).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,6 +7,7 @@
 #include "common/config.hpp"
 #include "common/csv.hpp"
 #include "common/error.hpp"
+#include "common/json_escape.hpp"
 #include "common/mathx.hpp"
 #include "common/rng.hpp"
 
@@ -239,6 +240,19 @@ TEST(Config, SetOverrides) {
   Config cfg;
   cfg.set("train", "epochs", "10");
   EXPECT_EQ(cfg.get_int("train", "epochs"), 10);
+}
+
+TEST(JsonEscape, EscapesQuotesBackslashesAndControlBytes) {
+  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(json_escape("\n\r\t"), "\\n\\r\\t");
+  EXPECT_EQ(json_escape(std::string("\x01\x1f\0", 3)),
+            "\\u0001\\u001f\\u0000");
+  // Every byte >= 0x20 (UTF-8 sequences, DEL) is copied as is.
+  EXPECT_EQ(json_escape("caf\xc3\xa9 \x7f"), "caf\xc3\xa9 \x7f");
+  std::string out = "\"";
+  append_json_escaped(out, "x\ny");
+  EXPECT_EQ(out, "\"x\\ny");
 }
 
 }  // namespace

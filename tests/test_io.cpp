@@ -1,4 +1,4 @@
-// Unit tests: .skl snapshot and sample-set storage.
+// Unit tests: SKS1 sample-set storage.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -9,7 +9,8 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "io/snapshot_io.hpp"
+#include "field/field.hpp"
+#include "io/sample_io.hpp"
 
 namespace sickle::io {
 namespace {
@@ -30,29 +31,6 @@ class IoTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-TEST_F(IoTest, SnapshotRoundTrip) {
-  field::Snapshot snap({4, 3, 2}, 2.5);
-  Rng rng(1);
-  for (const char* name : {"u", "v", "p"}) {
-    auto& f = snap.add(name);
-    for (auto& x : f.data()) x = rng.normal();
-  }
-  const std::size_t bytes = save_snapshot(snap, path("snap.skl"));
-  EXPECT_GT(bytes, 3u * 24u * sizeof(double));
-
-  const auto loaded = load_snapshot(path("snap.skl"));
-  EXPECT_EQ(loaded.shape(), snap.shape());
-  EXPECT_DOUBLE_EQ(loaded.time(), 2.5);
-  EXPECT_EQ(loaded.names(), snap.names());
-  for (const char* name : {"u", "v", "p"}) {
-    const auto a = snap.get(name).data();
-    const auto b = loaded.get(name).data();
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_DOUBLE_EQ(a[i], b[i]);
-    }
-  }
-}
-
 TEST_F(IoTest, SamplesRoundTrip) {
   SampleFile s;
   s.variables = {"u", "v"};
@@ -72,7 +50,7 @@ TEST_F(IoTest, SampleFileIsSmallerThanSnapshot) {
     auto& f = snap.add(name);
     for (auto& x : f.data()) x = rng.normal();
   }
-  const std::size_t full = save_snapshot(snap, path("full.skl"));
+  const std::size_t full = snap.bytes();  // the dense fields
 
   SampleFile s;
   s.variables = {"u", "v"};
@@ -83,11 +61,11 @@ TEST_F(IoTest, SampleFileIsSmallerThanSnapshot) {
     s.features.push_back(0.0);
   }
   const std::size_t sampled = save_samples(s, path("sub.skl"));
-  EXPECT_LT(sampled * 5, full);  // well under 20% of the dense file
+  EXPECT_EQ(sampled, std::filesystem::file_size(path("sub.skl")));
+  EXPECT_LT(sampled * 5, full);  // well under 20% of the dense fields
 }
 
 TEST_F(IoTest, LoadMissingFileThrows) {
-  EXPECT_THROW(load_snapshot(path("missing.skl")), RuntimeError);
   EXPECT_THROW(load_samples(path("missing.skl")), RuntimeError);
 }
 
@@ -96,16 +74,17 @@ TEST_F(IoTest, WrongMagicThrows) {
     std::ofstream f(path("bad.skl"), std::ios::binary);
     f << "NOTSKLDATA";
   }
-  EXPECT_THROW(load_snapshot(path("bad.skl")), RuntimeError);
   EXPECT_THROW(load_samples(path("bad.skl")), RuntimeError);
 }
 
 TEST_F(IoTest, TruncatedFileThrows) {
-  field::Snapshot snap({8, 8, 1});
-  snap.add("u");
-  save_snapshot(snap, path("trunc.skl"));
+  SampleFile s;
+  s.variables = {"u"};
+  s.indices.resize(64);
+  s.features.resize(64);
+  save_samples(s, path("trunc.skl"));
   std::filesystem::resize_file(path("trunc.skl"), 40);
-  EXPECT_THROW(load_snapshot(path("trunc.skl")), RuntimeError);
+  EXPECT_THROW(load_samples(path("trunc.skl")), RuntimeError);
 }
 
 TEST_F(IoTest, MismatchedFeatureCountRejected) {
@@ -114,10 +93,6 @@ TEST_F(IoTest, MismatchedFeatureCountRejected) {
   s.indices = {1, 2};
   s.features = {1.0};  // should be 2
   EXPECT_THROW(save_samples(s, path("bad2.skl")), CheckError);
-}
-
-TEST_F(IoTest, FileBytesOfMissingIsZero) {
-  EXPECT_EQ(file_bytes(path("nope")), 0u);
 }
 
 }  // namespace

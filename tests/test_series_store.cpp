@@ -16,7 +16,6 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "io/snapshot_io.hpp"
 #include "stats/histogram.hpp"
 #include "sampling/pipeline.hpp"
 #include "sampling/temporal.hpp"
@@ -65,7 +64,53 @@ class SeriesStoreTest : public ::testing::Test {
     return ds;
   }
 
+  /// Write `ds` as one sealed series with 4^3 chunks.
+  void write_series(const field::Dataset& ds, const std::string& name) const {
+    StoreOptions opts;
+    opts.chunk = {4, 4, 4};
+    SeriesWriter writer(path(name), opts);
+    for (std::size_t t = 0; t < ds.num_snapshots(); ++t) {
+      writer.append(ds.snapshot(t));
+    }
+    (void)writer.close();
+  }
+
   std::filesystem::path dir_;
+};
+
+/// A sealed SeriesReader with part of its index-resident metadata
+/// withheld, so temporal selection takes the decode path of a source that
+/// lacks it. kRangeOnly forwards value_range and withholds
+/// coarse_histogram: one full histogram scan, then the refinement.
+/// kNoMetadata withholds both (the memory backend's path): a range scan,
+/// a histogram scan, then the refinement. Payload reads go through the
+/// reader, so its cache and I/O counters see every decode.
+class WithheldMetadataSource final : public field::SeriesSource {
+ public:
+  enum class Mode { kRangeOnly, kNoMetadata };
+
+  WithheldMetadataSource(const SeriesReader& reader, Mode mode)
+      : reader_(reader), mode_(mode) {}
+
+  [[nodiscard]] std::size_t num_snapshots() const override {
+    return reader_.num_snapshots();
+  }
+  [[nodiscard]] const field::FieldSource& source(
+      std::size_t t) const override {
+    return reader_.source(t);
+  }
+  [[nodiscard]] double time(std::size_t t) const override {
+    return reader_.time(t);
+  }
+  [[nodiscard]] std::optional<field::VarRange> value_range(
+      std::size_t t, const std::string& var) const override {
+    if (mode_ == Mode::kNoMetadata) return std::nullopt;
+    return reader_.value_range(t, var);
+  }
+
+ private:
+  const SeriesReader& reader_;
+  Mode mode_;
 };
 
 TEST_F(SeriesStoreTest, LosslessRoundTripAcrossSnapshots) {
@@ -214,13 +259,24 @@ TEST_F(SeriesStoreTest, TruncatedAndCorruptFilesAreRejected) {
     f << "NOTSKL3DATA";
   }
   EXPECT_THROW(SeriesReader(path("bad.skl3")), RuntimeError);
-  // A flat SKL1 snapshot file is not an SKL3 series.
-  const auto ds = make_series(1);
-  io::save_snapshot(ds.snapshot(0), path("snap.skl"));
-  EXPECT_THROW(SeriesReader(path("snap.skl")), RuntimeError);
+  // A file long enough to hold an SKL3 header but under a foreign magic
+  // (here the SKS1 sample-set file's) is not an SKL3 series.
+  {
+    std::ofstream f(path("foreign.skl"), std::ios::binary);
+    f << "SKS1" << std::string(256, '\0');
+  }
+  try {
+    SeriesReader reader(path("foreign.skl"));
+    FAIL() << "a foreign magic must be rejected";
+  } catch (const RuntimeError& e) {
+    EXPECT_NE(std::string(e.what()).find("not an SKL3 series file"),
+              std::string::npos)
+        << e.what();
+  }
 
   // A sealed series truncated mid-payload: the index (at the tail) is
   // gone, so the reader reports a truncation instead of short reads.
+  const auto ds = make_series(1);
   SeriesWriter writer(path("trunc.skl3"), {});
   writer.append(ds.snapshot(0));
   (void)writer.close();
@@ -476,7 +532,7 @@ TEST_F(SeriesStoreTest, FailedCaseKeepsSpillInConfiguredDir) {
   EXPECT_TRUE(found);
 }
 
-// ----------------------------------------- v2 summary blocks + checksum
+// ------------------------------------- index-resident summaries + checksum
 
 TEST_F(SeriesStoreTest, SummaryBlocksCarryExactRanges) {
   const auto ds = make_series(4);
@@ -489,8 +545,6 @@ TEST_F(SeriesStoreTest, SummaryBlocksCarryExactRanges) {
   (void)writer.close();
 
   const SeriesReader reader(path("sum.skl3"));
-  EXPECT_EQ(reader.format_version(), 4u);
-  EXPECT_TRUE(reader.has_summaries());
   for (std::size_t t = 0; t < ds.num_snapshots(); ++t) {
     for (const auto& name : ds.snapshot(t).names()) {
       const auto r = reader.value_range(t, name);
@@ -503,53 +557,13 @@ TEST_F(SeriesStoreTest, SummaryBlocksCarryExactRanges) {
   EXPECT_THROW((void)reader.value_range(0, "nope"), CheckError);
 }
 
-TEST_F(SeriesStoreTest, LegacyV1FilesReadWithoutSummaries) {
-  const auto ds = make_series(3);
-  StoreOptions opts;
-  opts.chunk = {4, 4, 4};
-  opts.format_version = 1;  // write the pre-summary layout
-  SeriesWriter writer(path("v1.skl3"), opts);
-  for (std::size_t t = 0; t < ds.num_snapshots(); ++t) {
-    writer.append(ds.snapshot(t));
-  }
-  (void)writer.close();
-
-  const SeriesReader reader(path("v1.skl3"));
-  EXPECT_EQ(reader.format_version(), 1u);
-  EXPECT_FALSE(reader.has_summaries());
-  EXPECT_EQ(reader.value_range(0, "u"), std::nullopt);
-  // Payload still round-trips.
-  const auto loaded = reader.load_snapshot(1);
-  const auto want = ds.snapshot(1).get("u").data();
-  const auto got = loaded.get("u").data();
-  for (std::size_t i = 0; i < want.size(); ++i) ASSERT_EQ(want[i], got[i]);
-  // And selection falls back to the two-pass scan with identical output.
-  sampling::TemporalConfig tc;
-  tc.variable = "u";
-  tc.num_snapshots = 2;
-  tc.bins = 16;
-  EXPECT_EQ(sampling::select_snapshots(reader, tc),
-            sampling::select_snapshots(field::DatasetSeriesSource(ds), tc));
-}
-
 /// The acceptance criterion: with summaries present, cold-store temporal
 /// selection touches each payload block ONCE (the range pass reads index
 /// metadata); without them it decodes everything twice. The cache is
 /// sized below the working set so a second pass cannot hide in it.
 TEST_F(SeriesStoreTest, SummariesHalveColdSelectionIo) {
   const auto ds = make_series(6);
-  StoreOptions opts;
-  opts.chunk = {4, 4, 4};
-  auto write_series = [&](const std::string& name, std::uint32_t version) {
-    opts.format_version = version;
-    SeriesWriter writer(path(name), opts);
-    for (std::size_t t = 0; t < ds.num_snapshots(); ++t) {
-      writer.append(ds.snapshot(t));
-    }
-    (void)writer.close();
-  };
-  write_series("two_pass.skl3", 1);
-  write_series("one_pass.skl3", 0);  // latest = v2
+  write_series(ds, "sel.skl3");
 
   sampling::TemporalConfig tc;
   tc.variable = "u";
@@ -562,26 +576,30 @@ TEST_F(SeriesStoreTest, SummariesHalveColdSelectionIo) {
   const std::size_t blocks_per_var = 6 * 12;
   const std::size_t tiny_cache = 2 * 4 * 4 * 4 * sizeof(double);
 
-  const SeriesReader two_pass(path("two_pass.skl3"), tiny_cache);
+  const SeriesReader two_pass(path("sel.skl3"), tiny_cache);
   const auto two_open = two_pass.io_bytes_read();  // header + index
-  EXPECT_EQ(sampling::select_snapshots(two_pass, tc), expected);
+  EXPECT_EQ(sampling::select_snapshots(
+                WithheldMetadataSource(
+                    two_pass, WithheldMetadataSource::Mode::kNoMetadata),
+                tc),
+            expected);
   EXPECT_GE(two_pass.cache_stats().misses, 2 * blocks_per_var);
   const auto two_delta = two_pass.io_bytes_read() - two_open;
 
-  const SeriesReader one_pass(path("one_pass.skl3"), tiny_cache);
+  const SeriesReader one_pass(path("sel.skl3"), tiny_cache);
   const auto one_open = one_pass.io_bytes_read();  // header + index
   EXPECT_EQ(sampling::select_snapshots(one_pass, tc), expected);
   // Bit-identical result, but every payload block decoded exactly once.
   EXPECT_EQ(one_pass.cache_stats().misses, blocks_per_var);
   const auto one_delta = one_pass.io_bytes_read() - one_open;
   // Byte accounting agrees: the summary path reads u's payload once where
-  // the two-pass scan reads it twice (both files carry identical encoded
-  // payloads, so the halving is exact).
+  // the two-pass scan reads it twice (both readers open the same file, so
+  // the halving is exact).
   EXPECT_GT(one_delta, 0u);
   EXPECT_EQ(2 * one_delta, two_delta);
 }
 
-/// SKL3 v4 round-trip: index-resident coarse histograms equal what the
+/// SKL3 round-trip: index-resident coarse histograms equal what the
 /// canonical kernel (stats::Histogram over the snapshot's own exact
 /// range) computes from the raw data — the contract that lets selection
 /// seed from the index with zero payload decodes.
@@ -596,8 +614,6 @@ TEST_F(SeriesStoreTest, IndexHistogramsMatchScannedCoarseCounts) {
   (void)writer.close();
 
   const SeriesReader reader(path("hist.skl3"));
-  EXPECT_EQ(reader.format_version(), 4u);
-  EXPECT_TRUE(reader.has_histograms());
   for (std::size_t t = 0; t < ds.num_snapshots(); ++t) {
     for (const auto& name : ds.snapshot(t).names()) {
       const auto got = reader.coarse_histogram(t, name);
@@ -623,26 +639,14 @@ TEST_F(SeriesStoreTest, IndexHistogramsMatchScannedCoarseCounts) {
   }
 }
 
-/// v1/v3 files carry no histogram block: coarse_histogram reports nullopt
-/// and the seeded selection falls back to scanning — with indices
-/// identical to both the in-memory source and a v4 file of the same data
-/// (k chosen so the candidate set is a strict subset and the seeding
-/// stage actually runs).
+/// Sources without the histogram block (and without the range block)
+/// report nullopt and the seeded selection falls back to scanning — with
+/// indices identical to both the in-memory source and the sealed series
+/// read with all its metadata (k chosen so the candidate set is a strict
+/// subset and the seeding stage actually runs).
 TEST_F(SeriesStoreTest, SeededSelectionIsIdenticalAcrossFormatVersions) {
   const auto ds = make_series(12);
-  StoreOptions opts;
-  opts.chunk = {4, 4, 4};
-  auto write_series = [&](const std::string& name, std::uint32_t version) {
-    opts.format_version = version;
-    SeriesWriter writer(path(name), opts);
-    for (std::size_t t = 0; t < ds.num_snapshots(); ++t) {
-      writer.append(ds.snapshot(t));
-    }
-    (void)writer.close();
-  };
-  write_series("sel_v1.skl3", 1);
-  write_series("sel_v3.skl3", 3);
-  write_series("sel_v4.skl3", 0);  // latest = v4
+  write_series(ds, "sel.skl3");
 
   sampling::TemporalConfig tc;
   tc.variable = "u";
@@ -652,39 +656,30 @@ TEST_F(SeriesStoreTest, SeededSelectionIsIdenticalAcrossFormatVersions) {
       sampling::select_snapshots(field::DatasetSeriesSource(ds), tc);
   ASSERT_EQ(expected.size(), 2u);
 
-  const SeriesReader v1(path("sel_v1.skl3"));
-  const SeriesReader v3(path("sel_v3.skl3"));
-  const SeriesReader v4(path("sel_v4.skl3"));
-  EXPECT_EQ(v1.coarse_histogram(0, "u"), std::nullopt);
-  EXPECT_EQ(v3.coarse_histogram(0, "u"), std::nullopt);
-  EXPECT_FALSE(v3.has_histograms());
-  EXPECT_TRUE(v4.has_histograms());
-  EXPECT_EQ(sampling::select_snapshots(v1, tc), expected);
-  EXPECT_EQ(sampling::select_snapshots(v3, tc), expected);
-  EXPECT_EQ(sampling::select_snapshots(v4, tc), expected);
+  const SeriesReader reader(path("sel.skl3"));
+  using Mode = WithheldMetadataSource::Mode;
+  const WithheldMetadataSource none(reader, Mode::kNoMetadata);
+  const WithheldMetadataSource range_only(reader, Mode::kRangeOnly);
+  EXPECT_EQ(none.coarse_histogram(0, "u"), std::nullopt);
+  EXPECT_EQ(none.value_range(0, "u"), std::nullopt);
+  EXPECT_EQ(range_only.coarse_histogram(0, "u"), std::nullopt);
+  EXPECT_TRUE(range_only.value_range(0, "u").has_value());
+  EXPECT_TRUE(reader.coarse_histogram(0, "u").has_value());
+  EXPECT_EQ(sampling::select_snapshots(none, tc), expected);
+  EXPECT_EQ(sampling::select_snapshots(range_only, tc), expected);
+  EXPECT_EQ(sampling::select_snapshots(reader, tc), expected);
 }
 
-/// The tentpole acceptance criterion: on a sealed v4 series the seeding
-/// stage decodes ZERO payload blocks — the first (and only) decodes are
-/// the exact refinement pass over the candidate snapshots. The version
-/// ladder quantifies the win: v3 pays one extra full histogram pass, v1
-/// two (range + histogram). The cache is sized below the working set so
-/// no pass can hide in it.
+/// The seeded-selection acceptance criterion: on a sealed series the
+/// seeding stage decodes ZERO payload blocks — the first (and only)
+/// decodes are the exact refinement pass over the candidate snapshots.
+/// The decode ladder quantifies the win: a range-only source pays one
+/// extra full histogram pass, a source with no metadata two (range +
+/// histogram). The cache is sized below the working set so no pass can
+/// hide in it.
 TEST_F(SeriesStoreTest, SeededSelectionDecodesOnlyCandidateBlocks) {
   const auto ds = make_series(12);
-  StoreOptions opts;
-  opts.chunk = {4, 4, 4};
-  auto write_series = [&](const std::string& name, std::uint32_t version) {
-    opts.format_version = version;
-    SeriesWriter writer(path(name), opts);
-    for (std::size_t t = 0; t < ds.num_snapshots(); ++t) {
-      writer.append(ds.snapshot(t));
-    }
-    (void)writer.close();
-  };
-  write_series("io_v1.skl3", 1);
-  write_series("io_v3.skl3", 3);
-  write_series("io_v4.skl3", 0);  // latest = v4
+  write_series(ds, "io.skl3");
 
   sampling::TemporalConfig tc;
   tc.variable = "u";
@@ -698,26 +693,32 @@ TEST_F(SeriesStoreTest, SeededSelectionDecodesOnlyCandidateBlocks) {
   const auto expected =
       sampling::select_snapshots(field::DatasetSeriesSource(ds), tc);
 
-  const SeriesReader v4(path("io_v4.skl3"), tiny_cache);
-  EXPECT_EQ(v4.cache_stats().misses, 0u);  // opening decodes nothing
-  EXPECT_EQ(sampling::select_snapshots(v4, tc), expected);
+  const SeriesReader sealed(path("io.skl3"), tiny_cache);
+  EXPECT_EQ(sealed.cache_stats().misses, 0u);  // opening decodes nothing
+  EXPECT_EQ(sampling::select_snapshots(sealed, tc), expected);
   // Zero decodes before refinement: only the m candidates' blocks of the
   // selection variable were ever decoded.
-  EXPECT_EQ(v4.cache_stats().misses, m * chunks_per_snap);
+  EXPECT_EQ(sealed.cache_stats().misses, m * chunks_per_snap);
 
-  const SeriesReader v3(path("io_v3.skl3"), tiny_cache);
-  EXPECT_EQ(sampling::select_snapshots(v3, tc), expected);
-  // v3 seeds from index ranges but must scan the coarse histograms: one
-  // full pass plus the refinement (3x the v4 block decodes here).
-  EXPECT_EQ(v3.cache_stats().misses, (n + m) * chunks_per_snap);
+  using Mode = WithheldMetadataSource::Mode;
+  const SeriesReader range_reader(path("io.skl3"), tiny_cache);
+  EXPECT_EQ(sampling::select_snapshots(
+                WithheldMetadataSource(range_reader, Mode::kRangeOnly), tc),
+            expected);
+  // Seeding from index ranges still has to scan the coarse histograms:
+  // one full pass plus the refinement (3x the sealed block decodes here).
+  EXPECT_EQ(range_reader.cache_stats().misses, (n + m) * chunks_per_snap);
 
-  const SeriesReader v1(path("io_v1.skl3"), tiny_cache);
-  EXPECT_EQ(sampling::select_snapshots(v1, tc), expected);
-  // v1 additionally pays the range pass: two full passes plus refinement.
-  EXPECT_EQ(v1.cache_stats().misses, (2 * n + m) * chunks_per_snap);
+  const SeriesReader bare_reader(path("io.skl3"), tiny_cache);
+  EXPECT_EQ(sampling::select_snapshots(
+                WithheldMetadataSource(bare_reader, Mode::kNoMetadata), tc),
+            expected);
+  // Without ranges the range pass is paid too: two full passes plus
+  // refinement.
+  EXPECT_EQ(bare_reader.cache_stats().misses, (2 * n + m) * chunks_per_snap);
 }
 
-/// A flipped byte inside the v4 histogram region of the index must fail
+/// A flipped byte inside the histogram region of the index must fail
 /// the index checksum at open, exactly like any other index corruption.
 TEST_F(SeriesStoreTest, CorruptedHistogramCountsFailChecksum) {
   const auto ds = make_series(2);
@@ -728,7 +729,7 @@ TEST_F(SeriesStoreTest, CorruptedHistogramCountsFailChecksum) {
   writer.append(ds.snapshot(1));
   (void)writer.close();
 
-  // Per-snapshot index record (3 fields, 12 chunks, v4): 8 (time) +
+  // Per-snapshot index record (3 fields, 12 chunks): 8 (time) +
   // 3*16 (summaries) + 3*64*8 (histogram counts) + 3*12*24 (block refs).
   const std::size_t per_snap = 8 + 3 * 16 + 3 * 64 * 8 + 3 * 12 * 24;
   const auto size = std::filesystem::file_size(path("hflip.skl3"));
@@ -812,7 +813,7 @@ TEST_F(SeriesStoreTest, IndexByteFlipFailsChecksum) {
   writer.append(ds.snapshot(1));
   (void)writer.close();
 
-  // The v2 index is the trailing section; flip one byte near the tail.
+  // The index is the trailing section; flip one byte near the tail.
   const auto size = std::filesystem::file_size(path("flip.skl3"));
   {
     std::fstream f(path("flip.skl3"),

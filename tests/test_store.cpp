@@ -328,54 +328,30 @@ TEST_F(StoreTest, TrailingIndexWriterBoundsBufferedBytes) {
   }
 }
 
-/// Legacy v1 files (no summary block, no checksums) stay writable and
-/// readable after the format bumps; unknown versions are refused.
-TEST_F(StoreTest, LegacyV1LayoutStillRoundTrips) {
+/// One layout is read: a sealed file whose version field names any other
+/// (the retired v1-v3 layouts, an unknown future one) is refused with a
+/// typed error naming the file, before any of it is parsed.
+TEST_F(StoreTest, UnsupportedVersionsAreRefused) {
   const auto snap = make_snapshot();
   StoreOptions opts;
   opts.chunk = {4, 4, 4};
-  opts.format_version = 1;
-  write_one(snap, path("v1.skl3"), opts);
-  const SeriesReader reader(path("v1.skl3"));
-  EXPECT_EQ(reader.format_version(), 1u);
-  EXPECT_FALSE(reader.has_summaries());
-  const auto loaded = reader.load_snapshot(0);
-  for (const auto& name : snap.names()) {
-    const auto want = snap.get(name).data();
-    const auto got = loaded.get(name).data();
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      ASSERT_EQ(want[i], got[i]);
+  write_one(snap, path("ver.skl3"), opts);
+  for (const std::uint32_t version : {1u, 2u, 3u, 5u}) {
+    {
+      std::fstream f(path("ver.skl3"),
+                     std::ios::binary | std::ios::in | std::ios::out);
+      f.seekp(4);  // the u32 right after the "SKL3" magic
+      f.write(reinterpret_cast<const char*>(&version), sizeof(version));
     }
-  }
-  EXPECT_THROW(SeriesWriter(path("v9.skl3"), {.format_version = 9}),
-               CheckError);
-}
-
-TEST_F(StoreTest, V2IndexByteFlipFailsChecksum) {
-  const auto snap = make_snapshot();
-  StoreOptions opts;
-  opts.chunk = {4, 4, 4};
-  opts.format_version = 2;
-  write_one(snap, path("flip.skl3"), opts);
-  // The v2 index is the trailing section; flip one byte near the tail in
-  // a way that keeps the offsets plausible (low byte of a block offset).
-  const auto size = std::filesystem::file_size(path("flip.skl3"));
-  {
-    std::fstream f(path("flip.skl3"),
-                   std::ios::binary | std::ios::in | std::ios::out);
-    f.seekg(static_cast<std::streamoff>(size - 16));
-    char b = 0;
-    f.read(&b, 1);
-    b = static_cast<char>(b ^ 0x01);
-    f.seekp(static_cast<std::streamoff>(size - 16));
-    f.write(&b, 1);
-  }
-  try {
-    SeriesReader reader(path("flip.skl3"));
-    FAIL() << "flipped SKL3 index byte must be rejected";
-  } catch (const RuntimeError& e) {
-    EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos)
-        << e.what();
+    try {
+      SeriesReader reader(path("ver.skl3"));
+      FAIL() << "SKL3 version " << version << " must be refused";
+    } catch (const RuntimeError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("unsupported SKL3 version"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find(path("ver.skl3")), std::string::npos) << what;
+    }
   }
 }
 

@@ -10,7 +10,7 @@
 #include <cstring>
 #include <string>
 
-#include "io/snapshot_io.hpp"
+#include "io/sample_io.hpp"
 #include "parallel/world.hpp"
 #include "sampling/pipeline.hpp"
 #include "sickle/config_driver.hpp"
