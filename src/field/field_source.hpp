@@ -2,17 +2,18 @@
 /// @brief Read-only field access abstraction for in-memory and out-of-core
 /// snapshots.
 ///
-/// The sampling pipeline only ever *gathers* variable values at grid
-/// indices (k-means fit subsets, per-cube point sets); it never needs a
-/// whole field span. FieldSource captures exactly that contract, so the
-/// same selector/sampler code runs over an in-memory Snapshot
-/// (SnapshotSource, zero-copy) or a chunked on-disk store
-/// (store::SeriesReader, LRU-cached) without materializing the full grid.
+/// The sampling pipeline *gathers* variable values at grid indices
+/// (k-means fit subsets, per-cube point sets) and *scans* whole fields in
+/// flat order (scaler fits, selection histograms); it never needs a whole
+/// field span. FieldSource captures exactly that contract, so the same
+/// selector/sampler code runs over an in-memory Snapshot (SnapshotSource,
+/// zero-copy) or a chunked on-disk store (store::SeriesReader, LRU-cached)
+/// without materializing the full grid.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -39,15 +40,19 @@ class FieldSource {
   /// a time axis report 0.
   [[nodiscard]] virtual double time() const noexcept { return 0.0; }
 
-  /// Optional zero-copy fast path: the whole field as one contiguous
-  /// span, for sources that hold it in memory. Out-of-core sources
-  /// return an empty span and callers fall back to batched gather()
-  /// (see for_each_flat_batch). Throws for unknown variables.
-  [[nodiscard]] virtual std::span<const double> contiguous(
-      const std::string& var) const {
-    (void)var;
-    return {};
-  }
+  /// Receives consecutive pieces of one field scan (see for_each_flat).
+  using FlatVisitor = std::function<void(std::span<const double>)>;
+
+  /// Visit every value of `var` in global flat order, as consecutive
+  /// spans: concatenated, the spans are the field's dense flat array. The
+  /// streaming scan primitive behind temporal-selection histograms and
+  /// training-set scaler fits. The flat order matters: accumulations see
+  /// values in exactly the sequence an in-memory span scan would, which
+  /// keeps streamed statistics bit-identical to in-memory ones whatever
+  /// the span boundaries are. A span is valid only during its callback.
+  /// Throws for unknown variables.
+  virtual void for_each_flat(const std::string& var,
+                             const FlatVisitor& fn) const = 0;
 
   /// Gather `var` at arbitrary global flat indices: out[i] = var[idx[i]].
   /// `out.size()` must equal `idx.size()`. Throws for unknown variables.
@@ -85,9 +90,10 @@ class SnapshotSource final : public FieldSource {
   [[nodiscard]] double time() const noexcept override {
     return snap_->time();
   }
-  [[nodiscard]] std::span<const double> contiguous(
-      const std::string& var) const override {
-    return snap_->get(var).data();
+  /// One callback over the whole in-memory span.
+  void for_each_flat(const std::string& var,
+                     const FlatVisitor& fn) const override {
+    fn(snap_->get(var).data());
   }
 
   [[nodiscard]] const Snapshot& snapshot() const noexcept { return *snap_; }
@@ -183,33 +189,6 @@ class DatasetSeriesSource final : public SeriesSource {
  private:
   std::vector<SnapshotSource> views_;
 };
-
-/// Visit every value of `var` in global flat order, in bounded gather
-/// batches — the streaming scan primitive behind temporal-selection
-/// histograms and training-set scaler fits. The flat order matters:
-/// accumulations see values in exactly the sequence an in-memory span
-/// scan would, which keeps streamed statistics bit-identical to
-/// in-memory ones. In-memory sources short-circuit through contiguous()
-/// (one callback over the raw span, no index materialization); only
-/// out-of-core sources pay the batched gather, at O(batch) memory.
-template <typename Fn>
-void for_each_flat_batch(const FieldSource& src, const std::string& var,
-                         Fn&& fn, std::size_t batch = 1u << 15) {
-  if (const auto span = src.contiguous(var); !span.empty()) {
-    fn(span);
-    return;
-  }
-  const std::size_t n = src.shape().size();
-  std::vector<std::size_t> idx(std::min(n, std::max<std::size_t>(batch, 1)));
-  std::vector<double> vals(idx.size());
-  for (std::size_t begin = 0; begin < n; begin += idx.size()) {
-    const std::size_t count = std::min(idx.size(), n - begin);
-    for (std::size_t i = 0; i < count; ++i) idx[i] = begin + i;
-    src.gather(var, std::span<const std::size_t>(idx.data(), count),
-               std::span<double>(vals.data(), count));
-    fn(std::span<const double>(vals.data(), count));
-  }
-}
 
 /// Extract the named variables inside cube `c` from any FieldSource — the
 /// out-of-core twin of extract_cube(Snapshot&, ...), which delegates here.

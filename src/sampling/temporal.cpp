@@ -38,13 +38,13 @@ std::vector<std::vector<double>> snapshot_pmfs(
     lo = std::numeric_limits<double>::infinity();
     hi = -std::numeric_limits<double>::infinity();
     for (std::size_t t = 0; t < n; ++t) {
-      field::for_each_flat_batch(series.source(t), cfg.variable,
-                                 [&](std::span<const double> vals) {
-                                   for (const double x : vals) {
-                                     lo = std::min(lo, x);
-                                     hi = std::max(hi, x);
-                                   }
-                                 });
+      series.source(t).for_each_flat(
+          cfg.variable, [&](std::span<const double> vals) {
+            for (const double x : vals) {
+              lo = std::min(lo, x);
+              hi = std::max(hi, x);
+            }
+          });
     }
   }
   if (!(hi > lo)) {
@@ -56,9 +56,8 @@ std::vector<std::vector<double>> snapshot_pmfs(
   pmfs.reserve(n);
   for (std::size_t t = 0; t < n; ++t) {
     stats::Histogram h(lo, hi, cfg.bins);
-    field::for_each_flat_batch(
-        series.source(t), cfg.variable,
-        [&](std::span<const double> vals) { h.add(vals); });
+    series.source(t).for_each_flat(
+        cfg.variable, [&](std::span<const double> vals) { h.add(vals); });
     pmfs.push_back(h.pmf());
   }
   return pmfs;
@@ -139,13 +138,12 @@ CoarseSummaries coarse_summaries(const field::SeriesSource& series,
       lo = r->min;
       hi = r->max;
     } else {
-      field::for_each_flat_batch(series.source(t), var,
-                                 [&](std::span<const double> vals) {
-                                   for (const double x : vals) {
-                                     lo = std::min(lo, x);
-                                     hi = std::max(hi, x);
-                                   }
-                                 });
+      series.source(t).for_each_flat(var, [&](std::span<const double> vals) {
+        for (const double x : vals) {
+          lo = std::min(lo, x);
+          hi = std::max(hi, x);
+        }
+      });
     }
     out.ranges[t] = {lo, hi};
     if (!(hi > lo)) {
@@ -154,9 +152,8 @@ CoarseSummaries coarse_summaries(const field::SeriesSource& series,
     }
     if (std::isfinite(lo) && std::isfinite(hi) && hi > lo) {
       stats::Histogram h(lo, hi, field::kCoarseHistogramBins);
-      field::for_each_flat_batch(
-          series.source(t), var,
-          [&](std::span<const double> vals) { h.add(vals); });
+      series.source(t).for_each_flat(
+          var, [&](std::span<const double> vals) { h.add(vals); });
       out.counts[t].assign(h.counts().begin(), h.counts().end());
     } else {
       out.counts[t].assign(field::kCoarseHistogramBins, 0);
@@ -233,9 +230,8 @@ std::vector<std::size_t> select_snapshots(const field::SeriesSource& series,
   exact.reserve(candidates.size());
   for (const std::size_t t : candidates) {
     stats::Histogram h(lo, hi, cfg.bins);
-    field::for_each_flat_batch(
-        series.source(t), cfg.variable,
-        [&](std::span<const double> vals) { h.add(vals); });
+    series.source(t).for_each_flat(
+        cfg.variable, [&](std::span<const double> vals) { h.add(vals); });
     exact.push_back(h.pmf());
   }
   const std::vector<std::size_t> picks = greedy_maxmin(exact, k);

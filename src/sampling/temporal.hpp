@@ -11,8 +11,8 @@
 /// a chunked on-disk store::SeriesReader — through one shared histogram
 /// kernel, so the streamed and in-memory paths return bit-identical
 /// snapshot indices for equal data (the Dataset overloads are thin
-/// adapters). Memory is O(bins * snapshots) plus one gather batch, never
-/// the grid.
+/// adapters). Memory is O(bins * snapshots) plus one flat-scan buffer
+/// (FieldSource::for_each_flat), never the grid.
 #pragma once
 
 #include <cstddef>
@@ -41,7 +41,7 @@ struct TemporalConfig {
 
 /// Shared-range per-snapshot PMFs of cfg.variable: all snapshots binned
 /// over the global min/max so JS distances are comparable. Streams each
-/// snapshot in flat-order gather batches — the single histogram kernel
+/// snapshot with one flat-order scan — the single histogram kernel
 /// behind every select_snapshots overload. When the source carries
 /// index-resident summaries (SeriesSource::value_range, sealed SKL3), the
 /// range pass reads metadata instead of the payload and the whole job is

@@ -48,6 +48,7 @@ struct VarScaler {
 /// the memory/series backends for lossless codecs.
 std::map<std::string, VarScaler> fit_scalers(
     const field::SeriesSource& series, std::span<const std::string> vars) {
+  obs::Span span("sampling.scalers", "sampling");
   struct Acc {
     double sum = 0.0, sq = 0.0;
     std::size_t n = 0;
@@ -56,14 +57,13 @@ std::map<std::string, VarScaler> fit_scalers(
   for (std::size_t t = 0; t < series.num_snapshots(); ++t) {
     const field::FieldSource& src = series.source(t);
     for (std::size_t v = 0; v < vars.size(); ++v) {
-      field::for_each_flat_batch(src, vars[v],
-                                 [&](std::span<const double> vals) {
-                                   for (const double x : vals) {
-                                     accs[v].sum += x;
-                                     accs[v].sq += x * x;
-                                     ++accs[v].n;
-                                   }
-                                 });
+      src.for_each_flat(vars[v], [&](std::span<const double> vals) {
+        for (const double x : vals) {
+          accs[v].sum += x;
+          accs[v].sq += x * x;
+          ++accs[v].n;
+        }
+      });
     }
   }
   std::map<std::string, VarScaler> out;

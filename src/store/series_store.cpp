@@ -594,23 +594,46 @@ std::shared_ptr<const std::vector<double>> SeriesReader::chunk(
   return values;
 }
 
-field::Snapshot SeriesReader::load_snapshot(std::size_t t) const {
-  SICKLE_CHECK(t < times_.size());
+void SeriesReader::scan_field(
+    std::size_t t, std::size_t f,
+    const field::FieldSource::FlatVisitor& fn) const {
   const auto& grid = layout_.grid();
-  field::Snapshot snap(grid, times_[t]);
-  for (std::size_t f = 0; f < names_.size(); ++f) {
-    std::vector<double> out(grid.size());
-    for (std::size_t c = 0; c < layout_.count(); ++c) {
-      const auto b = layout_.box(c);
-      const auto values = chunk(t, f, c);
-      std::size_t k = 0;
-      for (std::size_t ix = b.x0; ix < b.x0 + b.ex; ++ix) {
-        for (std::size_t iy = b.y0; iy < b.y0 + b.ey; ++iy) {
-          double* row = out.data() + grid.index(ix, iy, b.z0);
-          for (std::size_t iz = 0; iz < b.ez; ++iz) row[iz] = (*values)[k++];
+  const std::size_t row_blocks = layout_.chunks_y() * layout_.chunks_z();
+  std::vector<BlockCache::Block> row(row_blocks);
+  std::vector<ChunkLayout::Box> boxes(row_blocks);
+  std::vector<double> plane(grid.ny * grid.nz);
+  for (std::size_t cx = 0; cx < layout_.chunks_x(); ++cx) {
+    // One chunk row: every block sharing chunk-x, fetched once, in chunk
+    // id order (the readahead order).
+    for (std::size_t i = 0; i < row_blocks; ++i) {
+      row[i] = chunk(t, f, cx * row_blocks + i);
+      boxes[i] = layout_.box(cx * row_blocks + i);
+    }
+    // Blocks are x-major, z-fastest, so local plane lx of each block is
+    // one contiguous ey*ez run; scatter its z-runs into the y-z plane.
+    for (std::size_t lx = 0; lx < boxes[0].ex; ++lx) {
+      for (std::size_t i = 0; i < row_blocks; ++i) {
+        const ChunkLayout::Box& b = boxes[i];
+        const double* src = row[i]->data() + lx * b.ey * b.ez;
+        double* dst = plane.data() + b.y0 * grid.nz + b.z0;
+        for (std::size_t ly = 0; ly < b.ey; ++ly) {
+          std::copy_n(src + ly * b.ez, b.ez, dst + ly * grid.nz);
         }
       }
+      fn(std::span<const double>(plane));
     }
+  }
+}
+
+field::Snapshot SeriesReader::load_snapshot(std::size_t t) const {
+  SICKLE_CHECK(t < times_.size());
+  field::Snapshot snap(layout_.grid(), times_[t]);
+  for (std::size_t f = 0; f < names_.size(); ++f) {
+    std::vector<double> out;
+    out.reserve(layout_.grid().size());
+    scan_field(t, f, [&](std::span<const double> plane) {
+      out.insert(out.end(), plane.begin(), plane.end());
+    });
     snap.add(names_[f], std::move(out));
   }
   return snap;
@@ -634,6 +657,14 @@ double SeriesSnapshotView::time() const noexcept {
   return reader_->times_[t_];
 }
 
+void SeriesSnapshotView::for_each_flat(const std::string& var,
+                                       const FlatVisitor& fn) const {
+  const auto it = reader_->field_index_.find(var);
+  SICKLE_CHECK_MSG(it != reader_->field_index_.end(),
+                   "unknown field: " + var);
+  reader_->scan_field(t_, it->second, fn);
+}
+
 void SeriesSnapshotView::gather(const std::string& var,
                                 std::span<const std::size_t> idx,
                                 std::span<double> out) const {
@@ -644,8 +675,8 @@ void SeriesSnapshotView::gather(const std::string& var,
   const std::size_t f = it->second;
   const ChunkLayout& layout = reader_->layout_;
   // Gather requests are runs of indices within one chunk (cube point
-  // sets, full-field scans); memoizing the last chunk skips the cache
-  // lookup and LRU bookkeeping on the hot path.
+  // sets); memoizing the last chunk skips the cache lookup and LRU
+  // bookkeeping on the hot path.
   std::size_t last_chunk = layout.count();
   std::shared_ptr<const std::vector<double>> values;
   for (std::size_t i = 0; i < idx.size(); ++i) {

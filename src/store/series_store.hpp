@@ -188,6 +188,11 @@ class SeriesSnapshotView final : public field::FieldSource {
   void gather(const std::string& var, std::span<const std::size_t> idx,
               std::span<double> out) const override;
   using field::FieldSource::gather;
+  /// Chunk-row scan (SeriesReader::scan_field): each block is fetched
+  /// from the cache once per scan, the callback sees one y-z plane at a
+  /// time.
+  void for_each_flat(const std::string& var,
+                     const FlatVisitor& fn) const override;
   [[nodiscard]] double time() const noexcept override;
 
   [[nodiscard]] std::size_t snapshot_index() const noexcept { return t_; }
@@ -277,7 +282,8 @@ class SeriesReader final : public field::SeriesSource {
   [[nodiscard]] std::shared_ptr<const std::vector<double>> chunk(
       std::size_t t, std::size_t field_index, std::size_t chunk_id) const;
 
-  /// Materialize one snapshot — for tests and small grids.
+  /// Materialize one snapshot — for tests and small grids. Built from the
+  /// same chunk-row scan as SeriesSnapshotView::for_each_flat.
   [[nodiscard]] field::Snapshot load_snapshot(std::size_t t) const;
 
   using CacheStats = store::CacheStats;
@@ -300,6 +306,14 @@ class SeriesReader final : public field::SeriesSource {
  private:
   friend class SeriesSnapshotView;
 
+  /// The one block-to-flat scatter: visit field `f` of snapshot `t` in
+  /// global flat order, one y-z plane (ny*nz values) per callback. Walks
+  /// one chunk row (fixed chunk-x) at a time: fetches each of its
+  /// chunks_y*chunks_z blocks through chunk() once, then scatters them
+  /// plane by plane into one reused plane buffer. Every block of the
+  /// field is fetched exactly once per scan.
+  void scan_field(std::size_t t, std::size_t f,
+                  const field::FieldSource::FlatVisitor& fn) const;
   /// Read + decode one block by flat index key (no cache interaction).
   [[nodiscard]] BlockCache::Block load_block(std::uint64_t key) const;
   /// Queue async decodes of the blocks after `chunk_id` in (t, f) — up to

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <span>
@@ -20,6 +21,7 @@
 #include "sampling/pipeline.hpp"
 #include "sampling/temporal.hpp"
 #include "sickle/case.hpp"
+#include "sickle/stage.hpp"
 #include "store/series_store.hpp"
 
 namespace sickle::store {
@@ -309,6 +311,100 @@ TEST_F(SeriesStoreTest, ViewsShareOneBlockCache) {
   EXPECT_EQ(first->size(), 64u);  // evicted blocks stay alive for holders
 }
 
+// ------------------------------------------------------- flat field scans
+
+/// One snapshot of random values on `grid`, two fields.
+[[nodiscard]] field::Snapshot random_snapshot(const field::GridShape& grid,
+                                              std::uint64_t seed) {
+  field::Snapshot snap(grid, 0.5);
+  Rng rng(seed);
+  for (const char* name : {"a", "b"}) {
+    for (auto& x : snap.add(name).data()) x = rng.normal();
+  }
+  return snap;
+}
+
+/// The flat-scan contract: concatenated, a SeriesSnapshotView scan is the
+/// dense field byte for byte, one y-z plane per callback, whatever the
+/// chunk geometry — partial edge chunks, a chunk larger than the grid,
+/// one-cell-thick grids — and whatever lossless codec. load_snapshot
+/// shares the scatter, so it must agree too.
+TEST_F(SeriesStoreTest, FlatScanConcatenatesToDenseSnapshot) {
+  struct Geometry {
+    field::GridShape grid;
+    field::GridShape chunk;
+  };
+  const Geometry geometries[] = {
+      {{13, 11, 9}, {5, 7, 3}},    // partial edge chunks on every axis
+      {{13, 11, 9}, {20, 20, 20}},  // one chunk larger than the grid
+      {{7, 1, 9}, {3, 3, 4}},      // one cell thick in y
+      {{1, 6, 5}, {2, 4, 2}},      // one cell thick in x
+      {{6, 5, 1}, {4, 2, 3}},      // one cell thick in z
+  };
+  for (const auto& g : geometries) {
+    for (const char* codec : {"raw", "delta", "gorilla"}) {
+      SCOPED_TRACE(std::string(codec) + " grid " +
+                   std::to_string(g.grid.nx) + "x" +
+                   std::to_string(g.grid.ny) + "x" +
+                   std::to_string(g.grid.nz));
+      const auto s0 = random_snapshot(g.grid, 11);
+      const auto s1 = random_snapshot(g.grid, 12);
+      StoreOptions opts;
+      opts.chunk = g.chunk;
+      opts.codec = codec;
+      SeriesWriter writer(path("scan.skl3"), opts);
+      writer.append(s0);
+      writer.append(s1);
+      (void)writer.close();
+
+      const SeriesReader reader(path("scan.skl3"));
+      for (std::size_t t = 0; t < 2; ++t) {
+        const auto& dense = t == 0 ? s0 : s1;
+        const auto loaded = reader.load_snapshot(t);
+        for (const char* name : {"a", "b"}) {
+          std::vector<double> scanned;
+          reader.source(t).for_each_flat(
+              name, [&](std::span<const double> plane) {
+                EXPECT_EQ(plane.size(), g.grid.ny * g.grid.nz);
+                scanned.insert(scanned.end(), plane.begin(), plane.end());
+              });
+          const auto want = dense.get(name).data();
+          ASSERT_EQ(scanned.size(), want.size());
+          EXPECT_EQ(std::memcmp(scanned.data(), want.data(),
+                                want.size() * sizeof(double)),
+                    0);
+          const auto got = loaded.get(name).data();
+          ASSERT_EQ(got.size(), want.size());
+          EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                want.size() * sizeof(double)),
+                    0);
+        }
+      }
+    }
+  }
+}
+
+/// A scan fetches each block of the field from the cache exactly once:
+/// on a fresh reader every fetch is a miss and none is a hit (a per-value
+/// gather would hit once per z-run).
+TEST_F(SeriesStoreTest, FlatScanFetchesEachBlockOnce) {
+  StoreOptions opts;
+  opts.chunk = {5, 7, 3};
+  SeriesWriter writer(path("once.skl3"), opts);
+  writer.append(random_snapshot({13, 11, 9}, 5));
+  (void)writer.close();
+
+  const SeriesReader reader(path("once.skl3"));
+  ASSERT_EQ(reader.layout().count(), 3u * 2u * 3u);
+  std::size_t values = 0;
+  reader.source(0).for_each_flat(
+      "b", [&](std::span<const double> plane) { values += plane.size(); });
+  EXPECT_EQ(values, 13u * 11u * 9u);
+  const auto stats = reader.cache_stats();
+  EXPECT_EQ(stats.misses, reader.layout().count());
+  EXPECT_EQ(stats.hits, 0u);
+}
+
 /// Acceptance: streamed temporal selection over the SKL3 container must
 /// return bit-identical snapshot indices to the in-memory path on a
 /// periodic synthetic flow (lossless codec).
@@ -467,25 +563,80 @@ TEST_F(SeriesStoreTest, ConcurrentCrossSnapshotGathersMatchSource) {
 }
 
 /// The series backend must sample exactly what the memory backend does
-/// and leave no spill behind on success.
+/// and leave no spill behind on success — with chunks that divide the
+/// grid and with chunks that leave partial edge chunks.
 TEST_F(SeriesStoreTest, CaseRunnerSeriesBackendMatchesMemoryBackend) {
   const DatasetBundle bundle = make_dataset("SST-P1F4", 3, 0.5);
   CaseConfig cc = tiny_case();
   const auto memory_report = run_case(bundle, cc);
 
-  cc.backend = "series";
-  cc.store.chunk = {16, 16, 16};
-  cc.store.codec = "delta";
-  cc.spill_dir = (dir_ / "spill").string();
-  const auto series_report = run_case(bundle, cc);
+  for (const field::GridShape chunk :
+       {field::GridShape{16, 16, 16}, field::GridShape{12, 10, 7}}) {
+    SCOPED_TRACE("chunk " + std::to_string(chunk.nx) + "x" +
+                 std::to_string(chunk.ny) + "x" + std::to_string(chunk.nz));
+    cc.backend = "series";
+    cc.store.chunk = chunk;
+    cc.store.codec = "delta";
+    cc.spill_dir = (dir_ / "spill").string();
+    const auto series_report = run_case(bundle, cc);
 
-  EXPECT_EQ(series_report.sampled_points, memory_report.sampled_points);
-  EXPECT_GT(series_report.store_bytes, 0u);
-  EXPECT_TRUE(std::isfinite(series_report.train.test_loss));
-  // Bit-identical training data + same seed -> identical training run.
-  EXPECT_EQ(series_report.train.test_loss, memory_report.train.test_loss);
-  // Spill lifecycle: removed on success.
-  EXPECT_TRUE(std::filesystem::is_empty(dir_ / "spill"));
+    EXPECT_EQ(series_report.sampled_points, memory_report.sampled_points);
+    EXPECT_EQ(series_report.sample_hash, memory_report.sample_hash);
+    EXPECT_GT(series_report.store_bytes, 0u);
+    EXPECT_TRUE(std::isfinite(series_report.train.test_loss));
+    // Bit-identical training data + same seed -> identical training run.
+    EXPECT_EQ(series_report.train.test_loss, memory_report.train.test_loss);
+    // Spill lifecycle: removed on success.
+    EXPECT_TRUE(std::filesystem::is_empty(dir_ / "spill"));
+  }
+}
+
+/// The training tensors themselves — scalers fitted by the flat scan,
+/// then standardized cube values — are byte-identical between an
+/// in-memory series and an SKL3 store with partial edge chunks.
+TEST_F(SeriesStoreTest, TrainingTensorsMatchAcrossMemoryAndStore) {
+  const DatasetBundle bundle = make_dataset("SST-P1F4", 3, 0.5);
+  StoreOptions opts;
+  opts.chunk = {12, 10, 7};
+  opts.codec = "gorilla";
+  SeriesWriter writer(path("tensors.skl3"), opts);
+  for (std::size_t t = 0; t < bundle.data.num_snapshots(); ++t) {
+    writer.append(bundle.data.snapshot(t));
+  }
+  (void)writer.close();
+  const SeriesReader reader(path("tensors.skl3"));
+
+  for (const char* arch : {"MLP_Transformer", "CNN_Transformer"}) {
+    SCOPED_TRACE(arch);
+    CaseConfig cc = tiny_case();
+    cc.arch = arch;
+    cc.pipeline.input_vars = bundle.input_vars;
+    cc.pipeline.output_vars = bundle.output_vars;
+    cc.pipeline.cluster_var = bundle.cluster_var;
+    const std::vector<std::size_t> all{0, 1, 2};
+    CaseReport mem_report;
+    CaseReport store_report;
+    energy::EnergyCounter mem_energy;
+    energy::EnergyCounter store_energy;
+    const auto mem = stage::sampling(field::DatasetSeriesSource(bundle.data),
+                                     all, cc, mem_report, mem_energy);
+    const auto stored =
+        stage::sampling(reader, all, cc, store_report, store_energy);
+    EXPECT_EQ(store_report.sample_hash, mem_report.sample_hash);
+    ASSERT_GT(mem.size(), 0u);
+    ASSERT_EQ(stored.size(), mem.size());
+    for (std::size_t i = 0; i < mem.size(); ++i) {
+      for (const auto& [a, b] :
+           {std::pair{&mem.input(i), &stored.input(i)},
+            std::pair{&mem.target(i), &stored.target(i)}}) {
+        ASSERT_EQ(a->data().size(), b->data().size());
+        EXPECT_EQ(std::memcmp(a->raw(), b->raw(),
+                              a->data().size() * sizeof(float)),
+                  0)
+            << "example " << i;
+      }
+    }
+  }
 }
 
 /// Temporal selection changes *which* snapshots are sampled, identically

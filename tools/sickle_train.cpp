@@ -215,6 +215,12 @@ int main(int argc, char** argv) {
                   report.sampling_seconds + report.train.seconds);
       std::printf("Total Energy Consumed: %.6f kJ\n",
                   report.total_kilojoules());
+      std::printf("stage seconds: ingest %.3f | selection %.3f | sampling "
+                  "%.3f | training %.3f\n",
+                  report.metrics.at("case.ingest_seconds"),
+                  report.metrics.at("case.selection_seconds"),
+                  report.metrics.at("case.sampling_seconds"),
+                  report.metrics.at("case.training_seconds"));
       if (oo.enabled) {
         // Per-case telemetry plus the process-wide registry (store/pool/
         // codec tallies accumulated by the instrumented layers).
